@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import itertools
 import json
 import sys
 import time
@@ -266,37 +268,34 @@ def _oracle_deviation(ensemble, consumers: np.ndarray, background,
     return worst, len(rows)
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` renders it inside a row of several cells."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def _write_result(path: str, result, feature_names) -> None:
+    """Write ``result`` as JSON or CSV. CSV lines are built as strings, with
+    each feature name quoted once the way ``csv.writer`` quotes it and each
+    value written as ``repr`` of a Python float."""
     names = list(feature_names)
-    h = len(names)
     if path.endswith(".json"):
         _write_json(path, result, names)
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         if result.pairwise:
-            writer.writerow(["row_id", "feature_i", "feature_j", "value"])
-            col = 0
-            columns = []
-            for i in range(h):
-                for j in range(i + 1, h):
-                    columns.append((i, j, col))
-                    col += 1
+            fh.write("row_id,feature_i,feature_j,value\n")
+            cells = [_csv_cell(name) for name in names]
+            heads = [f"{cells[i]},{cells[j]},"
+                     for i, j in itertools.combinations(range(len(names)), 2)]
             for r in range(result.values.shape[0]):
-                for i, j, col in columns:
-                    writer.writerow(
-                        [r, names[i], names[j], _format_float(result.values[r, col])]
-                    )
+                fh.write("".join(f"{r},{head}{v!r}\n"
+                                 for head, v in zip(heads, result.values[r].tolist())))
         else:
-            writer.writerow(["row_id"] + names)
+            csv.writer(fh, lineterminator="\n").writerow(["row_id"] + names)
             for r in range(result.values.shape[0]):
-                writer.writerow(
-                    [r] + [_format_float(v) for v in result.values[r]]
-                )
+                fh.write(",".join([str(r), *map(repr, result.values[r].tolist())]) + "\n")
 
 
 def _write_json(path: str, result, names) -> None:
@@ -506,7 +505,24 @@ def _pipeline_oracle_check(count: int, seed: int = 23) -> list[Check]:
 
 def _reference_check(path: str) -> Check:
     """Compare against externally produced values at the cross-implementation
-    tolerance. See the README for the file schema."""
+    tolerance.
+
+    The file is one JSON object with the keys:
+
+    - ``model``: a model document (as written by ``model_to_dict``) or a
+      path to a model file;
+    - ``metric``: a metric name, e.g. ``"shapley"`` or ``"banzhaf-iv"``;
+    - ``consumers``: a list of rows, each a list of feature values;
+    - ``mode`` (optional): ``"background"``, ``"baseline"`` or
+      ``"path-dependent"``; defaults to background if ``background`` is
+      present, else path-dependent;
+    - ``background``: a list of rows, for background mode;
+    - ``baseline_row``: one row, for baseline mode;
+    - ``values`` for single-variable metrics: one list of per-feature values
+      per consumer row; or ``pairs`` for interaction metrics: a list of
+      ``[row_id, feature_i, feature_j, value]``.
+
+    ``tests/test_cli.py::_reference_doc`` builds an example."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -6,9 +6,13 @@ Per tree: (1) a frequency vector per leaf over baseline patterns, from a
 background dataset or from node covers; (2) sparse per-feature-subset
 contribution matrices over pattern pairs, built once per canonical dictionary
 and metric; (3) dense score vectors, leaf weight times matrix times
-frequencies; (4) per-row gathers indexed by consumer patterns. Per-row
-results are summed across trees in a fixed order (tree, then leaf), so output
-is reproducible bit for bit regardless of threading.
+frequencies, with each pair of sibling leaves folded into one table keyed by
+the left leaf's pattern; (4) one gather, which streams the consumer rows in
+blocks: per block, each tree's consumer patterns index its tables, and the
+values accumulate feature-major in a small (columns x block rows) buffer
+that is then copied into the output. Per-row results are summed in a fixed
+order (tree, folded leaf, column), so output is reproducible bit for bit
+regardless of the thread count and the block size.
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ from .formula_core import (
     pair_count,
     pair_index,
 )
-from .patterns import LeafPatternTable, calc_decision_patterns, sibling_last_bit_pairs
+from .patterns import (
+    DEFAULT_BLOCK_SIZE,
+    LeafPatternTable,
+    calc_decision_patterns,
+    sibling_last_bit_pairs,
+)
 from .tree_model import Tree, TreeEnsemble, as_matrix
 
 
@@ -209,6 +218,56 @@ def build_score_vectors(matrices: Mapping[tuple[int, ...], sparse.csr_matrix],
 # ---------------------------------------------------------------------------
 # Stage 4: gathers
 
+# One tree's gather plan: (key leaf, {output column: score table}) in a fixed
+# order. A table is indexed by the key leaf's consumer pattern.
+LeafTables = list[tuple[int, dict[int, np.ndarray]]]
+
+
+def _subset_column(subset: tuple[int, ...], num_features: int, pairwise: bool) -> int:
+    """Output column of a feature subset; pairs use the packed
+    upper-triangular layout."""
+    if (len(subset) == 2) != pairwise:
+        raise DimensionError(
+            "metric returned a subset size that contradicts its pairwise flag"
+        )
+    return subset[0] if not pairwise else pair_index(subset[0], subset[1], num_features)
+
+
+def fold_siblings(tree: Tree, leaf_tables: Mapping[int, dict[int, np.ndarray]]) -> LeafTables:
+    """Merge each pair of sibling leaves into one set of tables keyed by the
+    left leaf's pattern.
+
+    The right sibling's pattern is the left's with the last bit flipped, so
+    its table, with even and odd entries swapped, can be added to the left's:
+    ``t[p] = vL[p] + vR[p ^ 1]``. Siblings share their path features, so
+    they have the same columns. Leaves without a leaf sibling keep their own
+    tables. The result has one entry per gather key, in leaf order.
+    """
+    right_of = dict(sibling_last_bit_pairs(tree))
+    rights = set(right_of.values())
+    folded: LeafTables = []
+    for lf, columns in leaf_tables.items():
+        if lf in rights:
+            continue
+        mate = right_of.get(lf)
+        if mate is not None:
+            right = leaf_tables[mate]
+            columns = {col: vec + right[col].reshape(-1, 2)[:, ::-1].ravel()
+                       for col, vec in columns.items()}
+        folded.append((lf, columns))
+    return folded
+
+
+def _gather_into(acc: np.ndarray, tables: LeafTables,
+                 patterns: Mapping[int, np.ndarray]) -> None:
+    """Add every table, indexed by its key leaf's patterns, into the
+    feature-major accumulator ``acc`` (columns x rows), in table order."""
+    for lf, columns in tables:
+        pats = patterns[lf].astype(np.intp)
+        for col, vec in columns.items():
+            acc[col] += vec[pats]
+
+
 def gather_attributions(score_vectors: Mapping[int, Mapping[tuple[int, ...], np.ndarray]],
                         consumer_patterns: LeafPatternTable,
                         num_features: int,
@@ -218,18 +277,36 @@ def gather_attributions(score_vectors: Mapping[int, Mapping[tuple[int, ...], np.
     leaf's consumer patterns, summed feature-subset-wise.
 
     Subsets here are actual feature ids; pairs land in the packed
-    upper-triangular column layout.
+    upper-triangular column layout. Values are added to ``out`` if given.
     """
     width = pair_count(num_features) if pairwise else num_features
+    tables = [
+        (lf, {_subset_column(subset, num_features, pairwise): vec
+              for subset, vec in per_subset.items()})
+        for lf, per_subset in score_vectors.items()
+    ]
+    acc = np.zeros((width, consumer_patterns.num_rows)) if out is None \
+        else np.ascontiguousarray(out.T)
+    _gather_into(acc, tables, consumer_patterns.patterns)
     if out is None:
-        out = np.zeros((consumer_patterns.num_rows, width))
-    for lf, per_subset in score_vectors.items():
-        pats = consumer_patterns.patterns[lf]
-        for subset, vec in per_subset.items():
-            col = subset[0] if len(subset) == 1 \
-                else pair_index(subset[0], subset[1], num_features)
-            out[:, col] += vec[pats]
+        return np.ascontiguousarray(acc.T)
+    out[...] = acc.T
     return out
+
+
+def _gather_rows(plan: Sequence[tuple[Tree, LeafTables]], consumers: np.ndarray,
+                 out: np.ndarray, start: int, stop: int, block_size: int) -> None:
+    """Fill ``out[start:stop]`` block by block: per block, each tree's
+    consumer patterns, then its tables gathered into a small feature-major
+    buffer that is copied into ``out``."""
+    for lo in range(start, stop, block_size):
+        hi = min(lo + block_size, stop)
+        rows = consumers[lo:hi]
+        acc = np.zeros((out.shape[1], hi - lo))
+        for tree, tables in plan:
+            table = calc_decision_patterns(tree, rows, block_size)
+            _gather_into(acc, tables, table.patterns)
+        out[lo:hi] = acc.T
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +340,7 @@ class BatchAttribution:
 
 
 def _rename_subset(subset: tuple[int, ...], rename: tuple[int, ...]) -> tuple[int, ...]:
-    if len(subset) == 1:
-        return (rename[subset[0]],)
-    a, b = rename[subset[0]], rename[subset[1]]
-    return (a, b) if a < b else (b, a)
+    return tuple(sorted(rename[i] for i in subset))
 
 
 def woodelf(ensemble: TreeEnsemble,
@@ -280,8 +354,20 @@ def woodelf(ensemble: TreeEnsemble,
     A present, non-empty ``background`` selects background mode; otherwise
     the ensemble's covers drive path-dependent mode. Interaction metrics
     fill unordered pairs only. Stage wall times are reported in ``timings``.
+
+    Each tree's score tables are built once, with sibling leaves folded into
+    one table. The gather then splits the rows evenly over ``threads`` and
+    walks each slice in blocks of ``block_size`` rows (default
+    ``patterns.DEFAULT_BLOCK_SIZE``), so it holds about
+    ``width * block_size`` floats plus one block of patterns per thread,
+    whatever the row count. Results are bit-identical for any ``threads``
+    and ``block_size``.
     """
     metric = resolve_metric(metric)
+    if block_size is None:
+        block_size = DEFAULT_BLOCK_SIZE
+    if block_size < 1:
+        raise ValueError(f"block_size must be positive, got {block_size}")
     C = as_matrix(consumers)
     h = ensemble.num_features
     if C.shape[1] != h:
@@ -297,8 +383,7 @@ def woodelf(ensemble: TreeEnsemble,
 
     cache = DictionaryCache()
     matrix_cache: dict = {}
-    plan: list[tuple[Tree, dict[int, list[tuple[int, np.ndarray]]]]] = []
-    width = pair_count(h) if metric.pairwise else h
+    plan: list[tuple[Tree, LeafTables]] = []
 
     for tree in ensemble.trees:
         t0 = time.perf_counter()
@@ -307,7 +392,7 @@ def woodelf(ensemble: TreeEnsemble,
         t1 = time.perf_counter()
         timings["frequencies"] += t1 - t0
 
-        leaf_scores: dict[int, list[tuple[int, np.ndarray]]] = {}
+        leaf_tables: dict[int, dict[int, np.ndarray]] = {}
         for lf in tree.leaf_indices():
             t1 = time.perf_counter()
             dictionary, rename = cache.get(tree.path_features(lf))
@@ -319,44 +404,28 @@ def woodelf(ensemble: TreeEnsemble,
             t2 = time.perf_counter()
             scores = build_score_vectors(matrices, freqs[lf],
                                          tree.nodes[lf].leaf_weight)
-            columns = []
-            for subset, vec in scores.items():
-                if (len(subset) == 2) != metric.pairwise:
-                    raise DimensionError(
-                        "metric returned a subset size that contradicts its "
-                        "pairwise flag"
-                    )
-                actual = _rename_subset(subset, rename)
-                col = actual[0] if not metric.pairwise \
-                    else pair_index(actual[0], actual[1], h)
-                columns.append((col, vec))
-            leaf_scores[lf] = columns
+            leaf_tables[lf] = {
+                _subset_column(_rename_subset(subset, rename), h, metric.pairwise): vec
+                for subset, vec in scores.items()
+            }
             t3 = time.perf_counter()
             timings["matrices"] += t2 - t1
             timings["scores"] += t3 - t2
-        plan.append((tree, leaf_scores))
+        t1 = time.perf_counter()
+        plan.append((tree, fold_siblings(tree, leaf_tables)))
+        timings["scores"] += time.perf_counter() - t1
 
-    out = np.zeros((C.shape[0], width))
-
-    def run_block(start: int, stop: int) -> None:
-        rows = C[start:stop]
-        for tree, leaf_scores in plan:
-            kwargs = {} if block_size is None else {"block_size": block_size}
-            table = calc_decision_patterns(tree, rows, **kwargs)
-            for lf, columns in leaf_scores.items():
-                pats = table.patterns[lf]
-                for col, vec in columns:
-                    out[start:stop, col] += vec[pats]
-
-    t0 = time.perf_counter()
     n = C.shape[0]
+    out = np.zeros((n, pair_count(h) if metric.pairwise else h))
+    t0 = time.perf_counter()
     if threads <= 1 or n == 0:
-        run_block(0, n)
+        _gather_rows(plan, C, out, 0, n, block_size)
     else:
         bounds = np.linspace(0, n, threads + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(run_block, int(bounds[k]), int(bounds[k + 1]))
+                pool.submit(_gather_rows, plan, C, out, int(bounds[k]),
+                            int(bounds[k + 1]), block_size)
                 for k in range(threads)
             ]
             for f in futures:

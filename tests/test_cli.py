@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from woodelf.cli import main
+from woodelf.engine import woodelf
 from woodelf.formula_core import MetricKind
 from woodelf.oracle import exact_attribution, tree_characteristic
 from woodelf.synth import random_data, random_ensemble
@@ -86,6 +87,47 @@ def test_compute_pairs_long_csv(toy):
     assert rows[0] == ["row_id", "feature_i", "feature_j", "value"]
     assert [r[:3] for r in rows[1:]] == [["0", "age", "sugar"],
                                          ["1", "age", "sugar"]]
+
+
+@pytest.mark.parametrize("metric", ["shapley", "shapley-iv"])
+def test_compute_csv_matches_csv_writer_bytes(tmp_path, metric):
+    """Both CSV layouts equal, byte for byte, what csv.writer writes for the
+    in-process values, including names that need quoting."""
+    rng = np.random.default_rng(17)
+    ens = random_ensemble(rng, 2, 3, max_depth=3)
+    names = ["we,ird \"name\"", "plain", "with space"]
+    doc = model_to_dict(ens)
+    doc["feature_names"] = names
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    C = random_data(rng, 5, 3)
+    B = random_data(rng, 4, 3)
+    paths = {}
+    for label, data in (("consumers", C), ("background", B)):
+        paths[label] = tmp_path / f"{label}.csv"
+        with open(paths[label], "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names)
+            writer.writerows(data.tolist())
+    out = tmp_path / "out.csv"
+    assert main(["compute", "--model", str(model), "--consumers",
+                 str(paths["consumers"]), "--background", str(paths["background"]),
+                 "--metric", metric, "--out", str(out)]) == 0
+
+    values = woodelf(ens, C, B, metric).values
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if metric == "shapley":
+            writer.writerow(["row_id"] + names)
+            for r in range(values.shape[0]):
+                writer.writerow([r] + [repr(float(v)) for v in values[r]])
+        else:
+            writer.writerow(["row_id", "feature_i", "feature_j", "value"])
+            for r in range(values.shape[0]):
+                for col, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+                    writer.writerow([r, names[i], names[j], repr(float(values[r, col]))])
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_compute_json_mirrors_csv(toy):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from woodelf.cube_mapping import map_patterns_to_cube
 from woodelf.engine import (
@@ -17,7 +19,7 @@ from woodelf.engine import (
     woodelf,
 )
 from woodelf.errors import DimensionError, ModeError
-from woodelf.formula_core import MetricKind, pair_index
+from woodelf.formula_core import MetricKind, pair_count, pair_index
 from woodelf.oracle import (
     ensemble_pd_characteristic,
     exact_attribution,
@@ -417,6 +419,84 @@ def test_threads_do_not_change_results():
         single = woodelf(ens, C, B, kind, threads=1)
         multi = woodelf(ens, C, B, kind, threads=4)
         np.testing.assert_array_equal(single.values, multi.values)
+
+
+def test_block_size_and_threads_do_not_change_results():
+    rng = np.random.default_rng(31)
+    ens = random_ensemble(rng, 3, 4, max_depth=4)
+    C = random_data(rng, 50, 4)  # 50 rows: no block size above 1 divides it
+    B = random_data(rng, 9, 4)
+    for background in (B, None):
+        for kind in ALL_KINDS:
+            runs = [woodelf(ens, C, background, kind, threads=t, block_size=b).values
+                    for b in (1, 7, 4096) for t in (1, 3)]
+            for values in runs[1:]:
+                np.testing.assert_array_equal(values, runs[0])
+
+
+def test_nonpositive_block_size_rejected():
+    rng = np.random.default_rng(32)
+    ens = random_ensemble(rng, 1, 2, max_depth=2)
+    with pytest.raises(ValueError):
+        woodelf(ens, random_data(rng, 3, 2), None, block_size=0)
+
+
+def _per_leaf_reference(ens, C, B, kind) -> np.ndarray:
+    """The unfolded pipeline: per leaf, a dictionary over the leaf's own path
+    features and one score vector per subset, each gathered column by column
+    into a row-major output."""
+    metric = resolve_metric(kind)
+    h = ens.num_features
+    out = np.zeros((C.shape[0], pair_count(h) if metric.pairwise else h))
+    for tree in ens.trees:
+        freqs = background_frequencies(tree, B) if B is not None \
+            else path_dependent_frequencies(tree)
+        table = calc_decision_patterns(tree, C)
+        for lf in tree.leaf_indices():
+            d = map_patterns_to_cube(tree.path_features(lf))
+            scores = build_score_vectors(build_contribution_matrices(d, metric),
+                                         freqs[lf], tree.nodes[lf].leaf_weight)
+            pats = table.patterns[lf]
+            for subset, vec in scores.items():
+                col = subset[0] if len(subset) == 1 \
+                    else pair_index(*sorted(subset), h)
+                out[:, col] += vec[pats]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), features=st.integers(2, 5),
+       depth=st.integers(1, 5), trees=st.integers(1, 3), rows=st.integers(1, 30),
+       kind=st.sampled_from(ALL_KINDS), background_mode=st.booleans())
+def test_folded_gather_matches_per_leaf_reference(seed, features, depth, trees,
+                                                  rows, kind, background_mode):
+    # Random trees are not full (some leaves have no leaf sibling) and draw
+    # split features with repeats.
+    rng = np.random.default_rng(seed)
+    ens = random_ensemble(rng, trees, features, depth)
+    C = random_data(rng, rows, features)
+    B = random_data(rng, 5, features) if background_mode else None
+    got = woodelf(ens, C, B, kind, block_size=7).values
+    np.testing.assert_allclose(got, _per_leaf_reference(ens, C, B, kind),
+                               rtol=0, atol=1e-12)
+
+
+def test_folded_gather_lone_leaf_and_repeated_feature():
+    # Leaves 1 and 3 have no leaf sibling; leaves 5 and 6 fold, on a path
+    # that splits on feature 0 twice.
+    tree = Tree((inner(0, 0.5, 1, 2, cover=10.0), leaf(1.5, cover=4.0),
+                 inner(0, 0.8, 3, 4, cover=6.0), leaf(-2.0, cover=2.0),
+                 inner(1, 0.3, 5, 6, cover=4.0), leaf(0.5, cover=1.0),
+                 leaf(3.0, cover=3.0)), 0)
+    ens = TreeEnsemble((tree,), 2)
+    rng = np.random.default_rng(33)
+    C = random_data(rng, 40, 2)
+    B = random_data(rng, 6, 2)
+    for background in (B, None):
+        for kind in ALL_KINDS:
+            np.testing.assert_allclose(
+                woodelf(ens, C, background, kind).values,
+                _per_leaf_reference(ens, C, background, kind), rtol=0, atol=1e-12)
 
 
 def test_timings_reported():
