@@ -2,9 +2,15 @@
 
 For one root-to-leaf path, every reachable pattern pair maps to the cube over
 path features that is satisfied exactly by the participation sets steering a
-mixed consumer/baseline row to that leaf. The mapping depends only on the
-path's repeat structure and length, so structurally identical paths share one
-canonical dictionary plus a per-path feature rename.
+mixed consumer/baseline row to that leaf.
+
+A path that splits on a feature more than once still has one literal for it:
+a row stays on the path only if the source it takes that feature from (the
+consumer or the baseline) agrees with every split on it. So a leaf's
+positional patterns collapse onto its u unique features, one agreement bit
+each, and a single dictionary over variables 0..u-1 serves every leaf with u
+unique path features; variable j stands for the j-th distinct feature along
+the path. No cube of such a dictionary is contradictory.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .formula_core import Cube
 
@@ -23,9 +31,8 @@ class CubeDictionary:
     Holds exactly 3^depth entries: each path level turns one entry into the
     three reachable child keys (consumer-only, baseline-only, both), and the
     both-miss key is never inserted. Cube weights stay 1; the leaf weight is
-    applied downstream so dictionaries can be shared across leaves.
-    Repeat-feature paths can make entries contradictory; those stay in the
-    dictionary, flagged, and are skipped when metrics are applied.
+    applied downstream so dictionaries can be shared across leaves. Built over
+    distinct features, as the pipeline does, no entry is contradictory.
     """
 
     path_features: tuple[int, ...]
@@ -63,7 +70,8 @@ def canonical_path(path_features: Sequence[int]) -> tuple[tuple[int, ...], tuple
     """Rewrite a feature sequence as first-occurrence ordinals plus a rename.
 
     Two paths share a canonical form iff they have the same length and repeat
-    structure; ``rename[ordinal]`` recovers the original feature id.
+    structure; ``rename[ordinal]`` recovers the original feature id, and
+    ``len(rename)`` is the number of unique features.
     """
     ordinal_of: dict[int, int] = {}
     canon = []
@@ -73,21 +81,43 @@ def canonical_path(path_features: Sequence[int]) -> tuple[tuple[int, ...], tuple
     return tuple(canon), rename
 
 
+def collapse_map(canon: Sequence[int]) -> np.ndarray | None:
+    """Map every positional pattern of a path to its unique-feature pattern.
+
+    ``canon`` holds each path position's ordinal (see ``canonical_path``).
+    Unique bit j, placed most-significant-first among u bits, is the AND of
+    the positional bits whose ordinal is j. Returns None when no feature
+    repeats, where the map is the identity.
+    """
+    depth, u = len(canon), len(set(canon))
+    if u == depth:
+        return None
+    patterns = np.arange(1 << depth)
+    out = np.zeros(1 << depth, dtype=np.intp)
+    for j in range(u):
+        mask = sum(1 << (depth - 1 - i) for i, o in enumerate(canon) if o == j)
+        out |= ((patterns & mask) == mask).astype(np.intp) << (u - 1 - j)
+    return out
+
+
 class CachedDictionary(NamedTuple):
-    dictionary: CubeDictionary       # canonical: cubes speak in ordinals
-    rename: tuple[int, ...]          # ordinal -> actual feature id
+    dictionary: CubeDictionary       # over variables 0..u-1
+    rename: tuple[int, ...]          # variable j -> j-th unique path feature
+    collapse: np.ndarray | None      # positional -> unique pattern; None: identity
 
 
 class DictionaryCache:
-    """Per-run cache of canonical dictionaries, keyed by repeat structure.
+    """Per-run cache of one dictionary per unique-feature count u, and of one
+    collapse map per repeat structure.
 
-    Unbounded by design: at the depth cap the number of distinct canonical
-    forms stays small. Inserts are serialized; completed entries are read
-    without locking.
+    Unbounded by design: a model of depth d needs at most d + 1
+    dictionaries and at most one collapse map per leaf. Inserts are
+    serialized; completed entries are read without locking.
     """
 
     def __init__(self) -> None:
-        self._dicts: dict[tuple[int, ...], CubeDictionary] = {}
+        self._dicts: dict[int, CubeDictionary] = {}
+        self._collapse: dict[tuple[int, ...], np.ndarray | None] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -95,17 +125,11 @@ class DictionaryCache:
 
     def get(self, path_features: Sequence[int]) -> CachedDictionary:
         canon, rename = canonical_path(path_features)
-        dictionary = self._dicts.get(canon)
-        if dictionary is None:
+        u = len(rename)
+        if u not in self._dicts or canon not in self._collapse:
             with self._lock:
-                dictionary = self._dicts.get(canon)
-                if dictionary is None:
-                    dictionary = map_patterns_to_cube(canon)
-                    self._dicts[canon] = dictionary
-        return CachedDictionary(dictionary, rename)
-
-
-def cached_dictionary(cache: DictionaryCache,
-                      path_features: Sequence[int]) -> CachedDictionary:
-    """Fetch (or build and insert) the canonical dictionary for a path."""
-    return cache.get(path_features)
+                if u not in self._dicts:
+                    self._dicts[u] = map_patterns_to_cube(tuple(range(u)))
+                if canon not in self._collapse:
+                    self._collapse[canon] = collapse_map(canon)
+        return CachedDictionary(self._dicts[u], rename, self._collapse[canon])

@@ -4,14 +4,17 @@ cube weight.
 
 Per tree: (1) a frequency vector per leaf over baseline patterns, from a
 background dataset or from node covers; (2) sparse per-feature-subset
-contribution matrices over pattern pairs, built once per canonical dictionary
-and metric; (3) dense score vectors, leaf weight times matrix times
-frequencies, with each pair of sibling leaves folded into one table keyed by
-the left leaf's pattern; (4) one gather, which streams the consumer rows in
-blocks: per block, each tree's consumer patterns index its tables, and the
-values accumulate feature-major in a small (columns x block rows) buffer
-that is then copied into the output. Per-row results are summed in a fixed
-order (tree, folded leaf, column), so output is reproducible bit for bit
+contribution matrices over pattern pairs, built once per unique-feature
+count u and stored as row/column/value arrays; (3) dense score vectors: each
+leaf's frequencies are collapsed onto its unique path features (a feature
+split on twice is one agreement bit), multiplied by the u-matrices and the
+leaf weight, and expanded back to the leaf's positional patterns, with each
+pair of sibling leaves folded into one table keyed by the left leaf's
+pattern; (4) one gather, which streams the consumer rows in blocks: per
+block, each tree's consumer patterns index its tables, and the values
+accumulate feature-major in a small (columns x block rows) buffer that is
+then copied into the output. Per-row results are summed in a fixed order
+(tree, folded leaf, column), so output is reproducible bit for bit
 regardless of the thread count and the block size.
 """
 
@@ -20,10 +23,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .cube_mapping import CubeDictionary, DictionaryCache
 from .errors import DimensionError, ModeError
@@ -52,9 +54,9 @@ class Metric:
     """A per-cube attribution rule.
 
     ``apply`` maps a cube to (feature subset, value) pairs, with subsets of
-    size one or two, and must be linear in the cube weight and empty on
-    contradictory cubes. Subsets reference the variable ids used inside the
-    cube (the pipeline renames canonical ordinals to feature ids afterwards).
+    size one or two, and must be linear in the cube weight. Subsets reference
+    the variable ids used inside the cube: the pipeline's cubes speak in a
+    path's unique-feature ordinals, renamed to feature ids afterwards.
     """
 
     apply: Callable[[Cube], Sequence[tuple[tuple[int, ...], float]]]
@@ -168,14 +170,29 @@ def path_dependent_frequencies(tree: Tree) -> dict[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Stage 2: sparse contribution matrices
 
+class SubsetEntries(NamedTuple):
+    """The stored entries of one subset's ``size``-square contribution
+    matrix: values at (consumer pattern, baseline pattern) = (row, column)."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    size: int
+
+    @property
+    def nnz(self) -> int:
+        return len(self.values)
+
+
 def build_contribution_matrices(dictionary: CubeDictionary,
-                                metric: Metric) -> dict[tuple[int, ...], sparse.csr_matrix]:
+                                metric: Metric) -> dict[tuple[int, ...], SubsetEntries]:
     """One sparse (consumer pattern, baseline pattern) matrix per feature subset.
 
     Each dictionary entry scatters its metric values at its own key, so a
-    subset's matrix has at most 3^depth nonzeros in a 2^depth-square shape.
-    Leaf weights are deliberately not applied here, keeping the matrices
-    shareable across all leaves with the same path structure.
+    subset's matrix has at most 3^depth entries in a 2^depth-square shape;
+    no dense matrix is built. Leaf weights are deliberately not applied here,
+    keeping the matrices shareable across all leaves with as many unique path
+    features.
     """
     if not dictionary.path_features:
         return {}
@@ -188,10 +205,9 @@ def build_contribution_matrices(dictionary: CubeDictionary,
             cols.append(pb)
             vals.append(value)
     return {
-        subset: sparse.csr_matrix(
-            (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-            shape=(size, size),
-        )
+        subset: SubsetEntries(np.asarray(rows, dtype=np.intp),
+                              np.asarray(cols, dtype=np.intp),
+                              np.asarray(vals, dtype=np.float64), size)
         for subset, (rows, cols, vals) in triplets.items()
     }
 
@@ -199,19 +215,21 @@ def build_contribution_matrices(dictionary: CubeDictionary,
 # ---------------------------------------------------------------------------
 # Stage 3: score vectors
 
-def build_score_vectors(matrices: Mapping[tuple[int, ...], sparse.csr_matrix],
+def build_score_vectors(matrices: Mapping[tuple[int, ...], SubsetEntries],
                         frequencies: np.ndarray,
                         leaf_weight: float) -> dict[tuple[int, ...], np.ndarray]:
     """Dense per-subset score vectors: leaf weight times matrix times
-    frequencies, touching nonzeros only."""
+    frequencies, one weighted ``bincount`` over each subset's entries."""
     out = {}
     for subset, matrix in matrices.items():
-        if matrix.shape[1] != frequencies.shape[0]:
+        if matrix.size != frequencies.shape[0]:
             raise DimensionError(
-                f"matrix is {matrix.shape} but the frequency vector has "
+                f"matrix is {matrix.size}-square but the frequency vector has "
                 f"length {frequencies.shape[0]}"
             )
-        out[subset] = leaf_weight * (matrix @ frequencies)
+        out[subset] = leaf_weight * np.bincount(
+            matrix.rows, weights=matrix.values * frequencies[matrix.cols],
+            minlength=matrix.size)
     return out
 
 
@@ -382,7 +400,7 @@ def woodelf(ensemble: TreeEnsemble,
     timings = {"frequencies": 0.0, "matrices": 0.0, "scores": 0.0, "gather": 0.0}
 
     cache = DictionaryCache()
-    matrix_cache: dict = {}
+    matrix_cache: dict[int, dict[tuple[int, ...], SubsetEntries]] = {}
     plan: list[tuple[Tree, LeafTables]] = []
 
     for tree in ensemble.trees:
@@ -391,21 +409,25 @@ def woodelf(ensemble: TreeEnsemble,
             else path_dependent_frequencies(tree)
         t1 = time.perf_counter()
         timings["frequencies"] += t1 - t0
+        paths = tree.leaf_path_features()
+        timings["matrices"] += time.perf_counter() - t1
 
         leaf_tables: dict[int, dict[int, np.ndarray]] = {}
-        for lf in tree.leaf_indices():
+        for lf, path in paths.items():
             t1 = time.perf_counter()
-            dictionary, rename = cache.get(tree.path_features(lf))
-            mkey = (dictionary.path_features, metric)
-            matrices = matrix_cache.get(mkey)
+            dictionary, rename, collapse = cache.get(path)
+            matrices = matrix_cache.get(dictionary.depth)
             if matrices is None:
                 matrices = build_contribution_matrices(dictionary, metric)
-                matrix_cache[mkey] = matrices
+                matrix_cache[dictionary.depth] = matrices
             t2 = time.perf_counter()
-            scores = build_score_vectors(matrices, freqs[lf],
-                                         tree.nodes[lf].leaf_weight)
+            f = freqs[lf]
+            if collapse is not None:
+                f = np.bincount(collapse, weights=f, minlength=1 << dictionary.depth)
+            scores = build_score_vectors(matrices, f, tree.nodes[lf].leaf_weight)
             leaf_tables[lf] = {
-                _subset_column(_rename_subset(subset, rename), h, metric.pairwise): vec
+                _subset_column(_rename_subset(subset, rename), h, metric.pairwise):
+                    vec if collapse is None else vec[collapse]
                 for subset, vec in scores.items()
             }
             t3 = time.perf_counter()

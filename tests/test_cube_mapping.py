@@ -1,4 +1,5 @@
 import itertools
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from woodelf.cube_mapping import (
     DictionaryCache,
-    cached_dictionary,
     canonical_path,
+    collapse_map,
     map_patterns_to_cube,
 )
 from woodelf.formula_core import Cube
@@ -72,8 +73,8 @@ def test_canonical_path_examples():
 
 def test_cache_shares_identical_paths():
     cache = DictionaryCache()
-    a = cached_dictionary(cache, (2, 5, 7))
-    b = cached_dictionary(cache, (2, 5, 7))
+    a = cache.get((2, 5, 7))
+    b = cache.get((2, 5, 7))
     assert a.dictionary is b.dictionary
     assert a.rename == (2, 5, 7)
     assert len(cache) == 1
@@ -81,8 +82,8 @@ def test_cache_shares_identical_paths():
 
 def test_cache_shares_unique_feature_paths_of_equal_length():
     cache = DictionaryCache()
-    a = cached_dictionary(cache, (0, 1, 2, 3, 4, 5))
-    b = cached_dictionary(cache, (9, 4, 11, 0, 7, 2))
+    a = cache.get((0, 1, 2, 3, 4, 5))
+    b = cache.get((9, 4, 11, 0, 7, 2))
     assert a.dictionary is b.dictionary
     assert a.rename == (0, 1, 2, 3, 4, 5)
     assert b.rename == (9, 4, 11, 0, 7, 2)
@@ -91,10 +92,52 @@ def test_cache_shares_unique_feature_paths_of_equal_length():
 
 def test_cache_distinguishes_repeat_structure():
     cache = DictionaryCache()
-    a = cached_dictionary(cache, (0, 1, 0))
-    b = cached_dictionary(cache, (0, 1, 2))
+    a = cache.get((0, 1, 0))
+    b = cache.get((0, 1, 2))
     assert a.dictionary is not b.dictionary
     assert len(cache) == 2
+
+
+def test_cache_keys_dictionary_by_unique_feature_count():
+    cache = DictionaryCache()
+    a = cache.get((3, 4, 3))
+    b = cache.get((5, 5, 2, 2))
+    c = cache.get((9, 1))
+    assert a.dictionary is b.dictionary is c.dictionary
+    assert a.dictionary.path_features == (0, 1)
+    assert (a.rename, b.rename, c.rename) == ((3, 4), (5, 2), (9, 1))
+    assert c.collapse is None
+    assert len(a.collapse) == 8 and len(b.collapse) == 16
+    assert cache.get((4, 7, 4)).collapse is a.collapse  # same repeat structure
+    assert len(cache) == 1
+    assert not any(cube.contradictory for cube in a.dictionary.entries.values())
+
+
+def test_collapse_map_ands_repeated_feature_bits():
+    collapse = collapse_map(canonical_path((3, 4, 3))[0])
+    assert collapse[0b101] == 0b10
+    assert collapse[0b111] == 0b11
+    assert collapse[0b110] == 0b01
+    assert collapse_map((0, 1, 2)) is None
+    assert collapse_map(()) is None
+
+
+def test_collapse_map_matches_positional_dictionary():
+    # Collapsing a positional key pair gives the unique-feature key of the
+    # same cube; contradictory positional keys are the ones with no
+    # unique-feature key at all.
+    for path in [(3, 4, 3), (7, 7), (5, 2, 9, 2), (1, 1, 0, 1)]:
+        canon, rename = canonical_path(path)
+        collapse = collapse_map(canon)
+        unique = map_patterns_to_cube(tuple(range(len(rename))))
+        for (pc, pb), cube in map_patterns_to_cube(path).entries.items():
+            key = (int(collapse[pc]), int(collapse[pb]))
+            if cube.contradictory:
+                assert key not in unique.entries
+            else:
+                renamed = _rename_cube(unique.entries[key], rename)
+                assert set(renamed.positive) == set(cube.positive)
+                assert set(renamed.negative) == set(cube.negative)
 
 
 def _rename_cube(cube: Cube, rename) -> Cube:
@@ -119,6 +162,24 @@ def test_cache_is_thread_safe_single_object():
                                 range(32)))
     assert all(r is results[0] for r in results)
     assert len(cache) == 1
+
+
+def test_cache_concurrent_gets_share_dictionary_and_collapse_map():
+    cache = DictionaryCache()
+    paths = [(0, 1, 2), (5, 6, 5), (7, 8, 7), (2, 2, 3, 4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda k: cache.get(paths[k % 4]), range(64)))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(results):
+        first = results[k % 4]
+        assert got.dictionary is first.dictionary and got.collapse is first.collapse
+    assert results[1].dictionary is results[2].dictionary
+    assert results[1].collapse is results[2].collapse   # same repeat structure
+    assert len(cache) == 2                               # u = 3 and u = 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from woodelf import cube_mapping
+from woodelf.cli import ORACLE_TOLERANCE
 from woodelf.cube_mapping import map_patterns_to_cube
 from woodelf.engine import (
     Metric,
@@ -137,11 +143,18 @@ def test_path_dependent_requires_positive_covers():
 # ---------------------------------------------------------------------------
 # stage 2: contribution matrices
 
+def _dense(m) -> np.ndarray:
+    """The ``size``-square matrix that a subset's entries define."""
+    dense = np.zeros((m.size, m.size))
+    np.add.at(dense, (m.rows, m.cols), m.values)
+    return dense
+
+
 def test_contribution_matrices_worked_two_feature_path():
     d = map_patterns_to_cube((0, 1))
     matrices = build_contribution_matrices(d, shapley_metric())
-    assert matrices[(0,)][0b10, 0b01] == pytest.approx(0.5)
-    assert matrices[(1,)][0b10, 0b01] == pytest.approx(-0.5)
+    assert _dense(matrices[(0,)])[0b10, 0b01] == pytest.approx(0.5)
+    assert _dense(matrices[(1,)])[0b10, 0b01] == pytest.approx(-0.5)
 
 
 def test_contribution_matrices_empty_path():
@@ -154,8 +167,11 @@ def test_contribution_matrices_nnz_bounded():
         for metric in (shapley_metric(), resolve_metric("shapley-iv")):
             matrices = build_contribution_matrices(d, metric)
             for m in matrices.values():
+                assert m.nnz == len(m.rows) == len(m.cols) == len(m.values)
                 assert m.nnz <= 3 ** length
-                assert m.shape == (1 << length, 1 << length)
+                assert m.size == 1 << length
+                assert 0 <= m.rows.min() and m.rows.max() < m.size
+                assert 0 <= m.cols.min() and m.cols.max() < m.size
 
 
 def test_contribution_matrices_skip_contradictory_cubes():
@@ -164,8 +180,7 @@ def test_contribution_matrices_skip_contradictory_cubes():
     contradictory_keys = {k for k, c in d.entries.items() if c.contradictory}
     assert contradictory_keys
     for m in matrices.values():
-        coo = m.tocoo()
-        for pc, pb in zip(coo.row, coo.col):
+        for pc, pb in zip(m.rows, m.cols):
             assert (int(pc), int(pb)) not in contradictory_keys
 
 
@@ -187,7 +202,7 @@ def test_score_vectors_worked_one_hot():
 def test_score_vectors_zero_matrix_uniform_frequencies():
     d = map_patterns_to_cube((0,))
     matrices = build_contribution_matrices(d, shapley_metric())
-    zeroed = {k: m.multiply(0.0).tocsr() for k, m in matrices.items()}
+    zeroed = {k: m._replace(values=m.values * 0.0) for k, m in matrices.items()}
     scores = build_score_vectors(zeroed, np.full(2, 0.5), 3.0)
     for v in scores.values():
         np.testing.assert_array_equal(v, np.zeros(2))
@@ -203,7 +218,7 @@ def test_score_vectors_match_dense_product():
             w = float(rng.normal())
             scores = build_score_vectors(matrices, f, w)
             for subset, m in matrices.items():
-                dense = w * (m.toarray() @ f)
+                dense = w * (_dense(m) @ f)
                 np.testing.assert_allclose(scores[subset], dense, atol=1e-12)
 
 
@@ -497,6 +512,57 @@ def test_folded_gather_lone_leaf_and_repeated_feature():
             np.testing.assert_allclose(
                 woodelf(ens, C, background, kind).values,
                 _per_leaf_reference(ens, C, background, kind), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("features", [2, 3])
+def test_repeated_features_match_oracle_with_one_dictionary_per_u(features,
+                                                                 monkeypatch):
+    # Full depth-6 trees over 2 or 3 features: every path repeats a feature.
+    built = []
+    build = cube_mapping.map_patterns_to_cube
+    monkeypatch.setattr(cube_mapping, "map_patterns_to_cube",
+                        lambda path: built.append(path) or build(path))
+    depth = 6
+    rng = np.random.default_rng(40 + features)
+    ens = random_ensemble(rng, 2, features, depth, full=True)
+    C = random_data(rng, 4, features)
+    B = random_data(rng, 5, features)
+    for background in (B, None):
+        for kind in ALL_KINDS:
+            built.clear()
+            got = woodelf(ens, C, background, kind).values
+            assert len(built) <= depth + 1
+            for r in range(C.shape[0]):
+                cf = tree_characteristic(ens, C[r], B) if background is not None \
+                    else ensemble_pd_characteristic(ens, C[r])
+                np.testing.assert_allclose(got[r], _values(exact_attribution(cf, kind)),
+                                           rtol=0, atol=ORACLE_TOLERANCE)
+
+
+def test_woodelf_makes_no_parent_map_call(monkeypatch):
+    calls = []
+    parent_map = Tree.parent_map
+    monkeypatch.setattr(Tree, "parent_map",
+                        lambda self: calls.append(self) or parent_map(self))
+    rng = np.random.default_rng(41)
+    ens = random_ensemble(rng, 3, 4, max_depth=5)
+    C = random_data(rng, 6, 4)
+    for background in (random_data(rng, 5, 4), None):
+        woodelf(ens, C, background, MetricKind.SHAPLEY_IV)
+    assert calls == []
+    tree = ens.trees[0]
+    tree.path_features(tree.leaf_indices()[0])
+    assert calls  # the patched counter does see parent_map calls
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, woodelf; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    src = str(Path(cube_mapping.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, timeout=60,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout.strip() == "False"
 
 
 def test_timings_reported():
