@@ -7,15 +7,18 @@ background dataset or from node covers; (2) sparse per-feature-subset
 contribution matrices over pattern pairs, built once per unique-feature
 count u and stored as row/column/value arrays; (3) dense score vectors: each
 leaf's frequencies are collapsed onto its unique path features (a feature
-split on twice is one agreement bit), multiplied by the u-matrices and the
-leaf weight, and expanded back to the leaf's positional patterns, with each
-pair of sibling leaves folded into one table keyed by the left leaf's
-pattern; (4) one gather, which streams the consumer rows in blocks: per
-block, each tree's consumer patterns index its tables, and the values
-accumulate feature-major in a small (columns x block rows) buffer that is
-then copied into the output. Per-row results are summed in a fixed order
-(tree, folded leaf, column), so output is reproducible bit for bit
-regardless of the thread count and the block size.
+split on twice is one agreement bit) and multiplied by the u-matrices and
+the leaf weight; the tree is cut into its maximal subtrees of height at most
+2 (``patterns.subtree_blocks``), and each leaf's vectors are added, through
+the map from its block's keys to its unique-feature patterns, into one table
+per block and column; (4) one gather, which streams the consumer rows in
+row blocks: per row block, the rows are transposed once, each tree's block
+keys are computed from one comparison per distinct split feature
+(``calc_decision_patterns`` given the tree's blocks), the keys index the
+block tables, and the values accumulate feature-major in a small
+(columns x block rows) buffer that is then copied into the output. Per-row
+results are summed in a fixed order (tree, block, column), so output is
+reproducible bit for bit regardless of the thread count and the block size.
 """
 
 from __future__ import annotations
@@ -43,8 +46,11 @@ from .formula_core import (
 from .patterns import (
     DEFAULT_BLOCK_SIZE,
     LeafPatternTable,
+    SubtreeBlocks,
     calc_decision_patterns,
+    leaf_key_patterns,
     sibling_last_bit_pairs,
+    subtree_blocks,
 )
 from .tree_model import Tree, TreeEnsemble, as_matrix
 
@@ -236,9 +242,9 @@ def build_score_vectors(matrices: Mapping[tuple[int, ...], SubsetEntries],
 # ---------------------------------------------------------------------------
 # Stage 4: gathers
 
-# One tree's gather plan: (key leaf, {output column: score table}) in a fixed
-# order. A table is indexed by the key leaf's consumer pattern.
-LeafTables = list[tuple[int, dict[int, np.ndarray]]]
+# Gather tables: (key id, {output column: score table}) in a fixed order. A
+# table is indexed by that key's values: a leaf's patterns, or a block's keys.
+Tables = list[tuple[int, dict[int, np.ndarray]]]
 
 
 def _subset_column(subset: tuple[int, ...], num_features: int, pairwise: bool) -> int:
@@ -251,35 +257,10 @@ def _subset_column(subset: tuple[int, ...], num_features: int, pairwise: bool) -
     return subset[0] if not pairwise else pair_index(subset[0], subset[1], num_features)
 
 
-def fold_siblings(tree: Tree, leaf_tables: Mapping[int, dict[int, np.ndarray]]) -> LeafTables:
-    """Merge each pair of sibling leaves into one set of tables keyed by the
-    left leaf's pattern.
-
-    The right sibling's pattern is the left's with the last bit flipped, so
-    its table, with even and odd entries swapped, can be added to the left's:
-    ``t[p] = vL[p] + vR[p ^ 1]``. Siblings share their path features, so
-    they have the same columns. Leaves without a leaf sibling keep their own
-    tables. The result has one entry per gather key, in leaf order.
-    """
-    right_of = dict(sibling_last_bit_pairs(tree))
-    rights = set(right_of.values())
-    folded: LeafTables = []
-    for lf, columns in leaf_tables.items():
-        if lf in rights:
-            continue
-        mate = right_of.get(lf)
-        if mate is not None:
-            right = leaf_tables[mate]
-            columns = {col: vec + right[col].reshape(-1, 2)[:, ::-1].ravel()
-                       for col, vec in columns.items()}
-        folded.append((lf, columns))
-    return folded
-
-
-def _gather_into(acc: np.ndarray, tables: LeafTables,
-                 patterns: Mapping[int, np.ndarray]) -> None:
-    """Add every table, indexed by its key leaf's patterns, into the
-    feature-major accumulator ``acc`` (columns x rows), in table order."""
+def _gather_into(acc: np.ndarray, tables: Tables,
+                 patterns: Mapping[int, np.ndarray] | Sequence[np.ndarray]) -> None:
+    """Add every table, indexed by its key's values, into the feature-major
+    accumulator ``acc`` (columns x rows), in table order."""
     for lf, columns in tables:
         pats = patterns[lf].astype(np.intp)
         for col, vec in columns.items():
@@ -312,18 +293,19 @@ def gather_attributions(score_vectors: Mapping[int, Mapping[tuple[int, ...], np.
     return out
 
 
-def _gather_rows(plan: Sequence[tuple[Tree, LeafTables]], consumers: np.ndarray,
-                 out: np.ndarray, start: int, stop: int, block_size: int) -> None:
-    """Fill ``out[start:stop]`` block by block: per block, each tree's
-    consumer patterns, then its tables gathered into a small feature-major
-    buffer that is copied into ``out``."""
+def _gather_rows(plan: Sequence[tuple[Tree, SubtreeBlocks, Tables]],
+                 consumers: np.ndarray, out: np.ndarray, start: int, stop: int,
+                 block_size: int) -> None:
+    """Fill ``out[start:stop]`` row block by row block: per row block, the
+    rows transposed once, then per tree its block keys and its tables
+    gathered into a small feature-major buffer that is copied into ``out``."""
     for lo in range(start, stop, block_size):
         hi = min(lo + block_size, stop)
-        rows = consumers[lo:hi]
+        columns = np.ascontiguousarray(consumers[lo:hi].T)
         acc = np.zeros((out.shape[1], hi - lo))
-        for tree, tables in plan:
-            table = calc_decision_patterns(tree, rows, block_size)
-            _gather_into(acc, tables, table.patterns)
+        for tree, blocks, tables in plan:
+            keys = calc_decision_patterns(tree, columns.T, hi - lo, blocks)
+            _gather_into(acc, tables, keys.patterns)
         out[lo:hi] = acc.T
 
 
@@ -373,13 +355,15 @@ def woodelf(ensemble: TreeEnsemble,
     the ensemble's covers drive path-dependent mode. Interaction metrics
     fill unordered pairs only. Stage wall times are reported in ``timings``.
 
-    Each tree's score tables are built once, with sibling leaves folded into
-    one table. The gather then splits the rows evenly over ``threads`` and
-    walks each slice in blocks of ``block_size`` rows (default
-    ``patterns.DEFAULT_BLOCK_SIZE``), so it holds about
-    ``width * block_size`` floats plus one block of patterns per thread,
-    whatever the row count. Results are bit-identical for any ``threads``
-    and ``block_size``.
+    Each tree's score tables are built once: one table per height-2 subtree
+    block and column, of 2^(key bits) floats, where a block's key has a bit
+    per ancestor and per inner node of the block. The gather then splits the
+    rows evenly over ``threads`` and walks each slice in row blocks of
+    ``block_size`` rows (default ``patterns.DEFAULT_BLOCK_SIZE``), so besides
+    the tables it holds, per thread, about ``width * block_size`` floats and
+    one key buffer (a split outcome per inner node and one key per block, for
+    each row of the block), whatever the row count. Results are bit-identical
+    for any ``threads`` and ``block_size``.
     """
     metric = resolve_metric(metric)
     if block_size is None:
@@ -401,7 +385,7 @@ def woodelf(ensemble: TreeEnsemble,
 
     cache = DictionaryCache()
     matrix_cache: dict[int, dict[tuple[int, ...], SubsetEntries]] = {}
-    plan: list[tuple[Tree, LeafTables]] = []
+    plan: list[tuple[Tree, SubtreeBlocks, Tables]] = []
 
     for tree in ensemble.trees:
         t0 = time.perf_counter()
@@ -410,32 +394,41 @@ def woodelf(ensemble: TreeEnsemble,
         t1 = time.perf_counter()
         timings["frequencies"] += t1 - t0
         paths = tree.leaf_path_features()
+        blocks = subtree_blocks(tree)
         timings["matrices"] += time.perf_counter() - t1
 
-        leaf_tables: dict[int, dict[int, np.ndarray]] = {}
-        for lf, path in paths.items():
-            t1 = time.perf_counter()
-            dictionary, rename, collapse = cache.get(path)
-            matrices = matrix_cache.get(dictionary.depth)
-            if matrices is None:
-                matrices = build_contribution_matrices(dictionary, metric)
-                matrix_cache[dictionary.depth] = matrices
-            t2 = time.perf_counter()
-            f = freqs[lf]
-            if collapse is not None:
-                f = np.bincount(collapse, weights=f, minlength=1 << dictionary.depth)
-            scores = build_score_vectors(matrices, f, tree.nodes[lf].leaf_weight)
-            leaf_tables[lf] = {
-                _subset_column(_rename_subset(subset, rename), h, metric.pairwise):
-                    vec if collapse is None else vec[collapse]
-                for subset, vec in scores.items()
-            }
-            t3 = time.perf_counter()
-            timings["matrices"] += t2 - t1
-            timings["scores"] += t3 - t2
-        t1 = time.perf_counter()
-        plan.append((tree, fold_siblings(tree, leaf_tables)))
-        timings["scores"] += time.perf_counter() - t1
+        tables: Tables = []
+        for b, block in enumerate(blocks.blocks):
+            columns: dict[int, np.ndarray] = {}
+            for block_leaf in block.leaves:
+                lf = block_leaf.leaf
+                t1 = time.perf_counter()
+                dictionary, rename, collapse = cache.get(paths[lf])
+                matrices = matrix_cache.get(dictionary.depth)
+                if matrices is None:
+                    matrices = build_contribution_matrices(dictionary, metric)
+                    matrix_cache[dictionary.depth] = matrices
+                t2 = time.perf_counter()
+                f = freqs[lf]
+                if collapse is not None:
+                    f = np.bincount(collapse, weights=f, minlength=1 << dictionary.depth)
+                scores = build_score_vectors(matrices, f, tree.nodes[lf].leaf_weight)
+                # The leaf's unique-feature pattern for each key of its block.
+                index = leaf_key_patterns(block, block_leaf)
+                if collapse is not None:
+                    index = collapse[index]
+                for subset, vec in scores.items():
+                    col = _subset_column(_rename_subset(subset, rename), h,
+                                         metric.pairwise)
+                    if col in columns:
+                        columns[col] += vec[index]
+                    else:
+                        columns[col] = vec[index]
+                t3 = time.perf_counter()
+                timings["matrices"] += t2 - t1
+                timings["scores"] += t3 - t2
+            tables.append((b, columns))
+        plan.append((tree, blocks, tables))
 
     n = C.shape[0]
     out = np.zeros((n, pair_count(h) if metric.pairwise else h))

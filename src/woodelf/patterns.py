@@ -1,15 +1,28 @@
-"""Decision patterns: per-leaf bit sequences recording path agreement of rows.
+"""Decision patterns and the gather's subtree-block keys.
 
 For a leaf with path (root=n1, ..., nk, leaf), bit i of the pattern says
 whether the row would follow the path's edge out of ni (1) or branch off (0).
-Bits accumulate most-significant-first via left shifts, so the root's edge
-occupies the highest populated bit. Patterns for a whole data matrix are
-computed level by level with one split evaluation per inner node.
+Bits accumulate most-significant-first, so the root's edge occupies the
+highest populated bit. Patterns for a whole data matrix are computed level by
+level with one split evaluation per inner node; background frequencies are
+counted over them.
+
+The gather keys rows by subtree blocks instead: the maximal subtrees of
+height at most 2 (a lone leaf, a sibling pair, or up to four leaves under
+one node). A block's key holds the row's raw split outcomes (``x[f] < t``),
+most significant first: one bit per ancestor of the block's root, then one
+per inner node of the block. Raw outcomes do not depend on the leaf, so both
+children of a node extend the same prefix, and every leaf of a block reads
+its agreement pattern off the block's key (``leaf_key_patterns``).
+``calc_decision_patterns`` computes either kind: per-leaf patterns, or, given
+the tree's blocks, per-block keys.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +73,8 @@ class LeafPatternTable:
 
     ``patterns[leaf]`` is an unsigned array of packed bit sequences whose
     width is chosen from the tree depth; ``lengths[leaf]`` is the leaf's path
-    length (its bit count).
+    length (its bit count). A table of block keys is indexed by block
+    position instead, with the key lengths.
     """
 
     patterns: dict[int, np.ndarray]
@@ -69,16 +83,28 @@ class LeafPatternTable:
 
 
 def calc_decision_patterns(tree: Tree, data,
-                           block_size: int = DEFAULT_BLOCK_SIZE) -> LeafPatternTable:
-    """Patterns of every data row at every leaf of the tree.
+                           block_size: int = DEFAULT_BLOCK_SIZE,
+                           blocks: "SubtreeBlocks | None" = None) -> LeafPatternTable:
+    """Patterns of every data row at every leaf of the tree, or, given the
+    tree's ``subtree_blocks``, every row's key in each block.
 
     Walks the tree breadth-first once per row block: the root starts at
     pattern 0, a left child appends the split outcome, and the right sibling
     is the left child with the last bit flipped. Inner-node patterns are
     transient; only leaf vectors are kept. O(rows * leaves) overall.
+
+    Each row block is read feature-major; a feature-major matrix passed
+    transposed (``columns.T``, with ``block_size`` at least its row count)
+    is read without a copy.
     """
     X = as_matrix(data)
     n = X.shape[0]
+    if blocks is not None:
+        chunks = [block_keys(blocks, np.ascontiguousarray(X[start:start + block_size].T))
+                  for start in range(0, max(n, 1), block_size)]
+        keys = [np.concatenate(k) if len(k) > 1 else k[0] for k in zip(*chunks)]
+        return LeafPatternTable(dict(enumerate(keys)),
+                                {b: block.bits for b, block in enumerate(blocks.blocks)}, n)
     dtype = pattern_dtype_for_depth(tree.depth())
     one = dtype.type(1)
 
@@ -95,7 +121,7 @@ def calc_decision_patterns(tree: Tree, data,
 
     for start in range(0, max(n, 1), block_size):
         stop = min(start + block_size, n)
-        block = X[start:stop]
+        columns = np.ascontiguousarray(X[start:stop].T)
         live = {tree.root: np.zeros(stop - start, dtype=dtype)}
         for idx in order:
             node = tree.nodes[idx]
@@ -103,8 +129,9 @@ def calc_decision_patterns(tree: Tree, data,
             if node.is_leaf:
                 out[idx][start:stop] = pattern
             else:
-                goes_left = block[:, node.feature] < node.threshold
-                left = (pattern << one) | goes_left.astype(dtype)
+                # Doubling leaves the low bit 0, so adding the outcome sets it.
+                left = pattern + pattern
+                left += columns[node.feature] < node.threshold
                 live[node.left] = left
                 live[node.right] = left ^ one
 
@@ -143,3 +170,145 @@ def sibling_last_bit_pairs(tree: Tree) -> list[tuple[int, int]]:
         if tree.nodes[node.left].is_leaf and tree.nodes[node.right].is_leaf:
             pairs.append((node.left, node.right))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# Height-2 subtree blocks
+
+class BlockLeaf(NamedTuple):
+    """A leaf of a block, and where its agreement bits sit in the block key."""
+
+    leaf: int
+    flips: int                          # ancestor bits where the path goes right
+    steps: tuple[tuple[int, int], ...]  # (key bit, 1 if the path goes right),
+                                        # per inner node of the block on the path
+
+
+class Block(NamedTuple):
+    """One maximal subtree of height at most 2."""
+
+    prefix: int              # index into ``SubtreeBlocks.prefixes``; -1 at the root
+    splits: tuple[int, ...]  # split rows of the block's inner nodes, in key order
+    bits: int                # key length: ancestors plus ``len(splits)``
+    leaves: tuple[BlockLeaf, ...]
+
+
+class SubtreeBlocks(NamedTuple):
+    """One tree's blocks and how to key any rows by them.
+
+    Row r of the split-outcome buffer (inner nodes x data rows) belongs to
+    the r-th inner node in feature order, so one broadcast comparison per
+    distinct feature fills a contiguous band of it.
+    ``prefixes[i] = (j, r)`` is prefix j (or none, if -1) doubled plus split
+    row r: the raw outcomes of a node's ancestors and of the node itself,
+    shared by both of its children.
+    """
+
+    features: tuple[tuple[int, slice, np.ndarray], ...]  # feature, split rows, thresholds (column)
+    num_splits: int
+    prefixes: tuple[tuple[int, int], ...]
+    blocks: tuple[Block, ...]
+    dtype: np.dtype
+
+
+def subtree_blocks(tree: Tree) -> SubtreeBlocks:
+    """The tree's maximal subtrees of height at most 2 whose keys fit the
+    depth cap, in breadth-first order of their roots, each with its leaves in
+    breadth-first order."""
+    order = tree.bfs_order()
+    height: dict[int, int] = {}
+    for idx in reversed(order):
+        node = tree.nodes[idx]
+        height[idx] = 0 if node.is_leaf else \
+            1 + max(height[node.left], height[node.right])
+
+    inner = sorted((i for i in order if not tree.nodes[i].is_leaf),
+                   key=lambda i: tree.nodes[i].feature)
+    row = {idx: r for r, idx in enumerate(inner)}
+    features = []
+    for feature, group in itertools.groupby(inner, key=lambda i: tree.nodes[i].feature):
+        group = list(group)
+        lo = row[group[0]]
+        features.append((feature, slice(lo, lo + len(group)),
+                         np.array([[tree.nodes[i].threshold] for i in group])))
+
+    prefixes: list[tuple[int, int]] = []
+    blocks: list[Block] = []
+    queue = [(tree.root, -1, 0, 0)]   # node, its ancestors' prefix, depth, flips
+    for idx, prefix, depth, flips in queue:
+        node = tree.nodes[idx]
+        if height[idx] <= 2:
+            block = _block(tree, idx, prefix, depth, flips, row)
+            # A full height-2 block's key has a bit more than its leaves'
+            # depth: at the depth cap, its root is split into smaller blocks.
+            if block.bits <= HARD_DEPTH_CAP:
+                blocks.append(block)
+                continue
+        prefixes.append((prefix, row[idx]))
+        queue.append((node.left, len(prefixes) - 1, depth + 1, flips * 2))
+        queue.append((node.right, len(prefixes) - 1, depth + 1, flips * 2 + 1))
+    bits = max(block.bits for block in blocks)
+    return SubtreeBlocks(tuple(features), len(inner), tuple(prefixes),
+                         tuple(blocks), pattern_dtype_for_depth(bits))
+
+
+def _block(tree: Tree, root: int, prefix: int, depth: int, flips: int,
+           row: dict[int, int]) -> Block:
+    node = tree.nodes[root]
+    inner = [] if node.is_leaf else [root] + [
+        child for child in (node.left, node.right) if not tree.nodes[child].is_leaf]
+    bit = {idx: len(inner) - 1 - j for j, idx in enumerate(inner)}
+    leaves = []
+    queue: list[tuple[int, tuple[tuple[int, int], ...]]] = [(root, ())]
+    for idx, steps in queue:
+        node = tree.nodes[idx]
+        if node.is_leaf:
+            leaves.append(BlockLeaf(idx, flips, steps))
+        else:
+            queue.append((node.left, steps + ((bit[idx], 0),)))
+            queue.append((node.right, steps + ((bit[idx], 1),)))
+    return Block(prefix, tuple(row[i] for i in inner), depth + len(inner),
+                 tuple(leaves))
+
+
+def block_keys(blocks: SubtreeBlocks, columns: np.ndarray) -> list[np.ndarray]:
+    """Every block's key for each row, given the rows feature-major
+    (``columns[f]`` holds feature f of every row)."""
+    n = columns.shape[1]
+    goes_left = np.empty((blocks.num_splits, n), dtype=bool)
+    for feature, rows, thresholds in blocks.features:
+        np.less(columns[feature], thresholds, out=goes_left[rows])
+
+    def extend(key: np.ndarray | None, split: int) -> np.ndarray:
+        if key is None:
+            return goes_left[split].astype(blocks.dtype)
+        key = key + key
+        key += goes_left[split]
+        return key
+
+    prefixes: list[np.ndarray] = []
+    for prefix, split in blocks.prefixes:
+        prefixes.append(extend(prefixes[prefix] if prefix >= 0 else None, split))
+    keys = []
+    for block in blocks.blocks:
+        key = prefixes[block.prefix] if block.prefix >= 0 else None
+        for split in block.splits:
+            key = extend(key, split)
+        keys.append(np.zeros(n, dtype=blocks.dtype) if key is None else key)
+    return keys
+
+
+def leaf_key_patterns(block: Block, leaf: BlockLeaf,
+                      keys: np.ndarray | None = None) -> np.ndarray:
+    """The leaf's agreement pattern for each of ``keys`` (by default every
+    key of its block).
+
+    Ancestor bits agree where they equal the path's direction, so they are
+    the key's high bits with the right turns flipped; the block's own bits
+    are picked out one by one, skipping the inner nodes off the leaf's path.
+    """
+    keys = np.arange(1 << block.bits) if keys is None else keys.astype(np.intp)
+    pattern = (keys >> len(block.splits)) ^ leaf.flips
+    for bit, right in leaf.steps:
+        pattern = pattern + pattern + (((keys >> bit) & 1) ^ right)
+    return pattern

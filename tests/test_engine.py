@@ -32,7 +32,7 @@ from woodelf.oracle import (
     shapley_iv_exact,
     tree_characteristic,
 )
-from woodelf.patterns import calc_decision_patterns, decision_pattern_single
+from woodelf.patterns import calc_decision_patterns, decision_pattern_single, subtree_blocks
 from woodelf.synth import random_data, random_ensemble
 from woodelf.tree_model import Tree, TreeEnsemble, inner, leaf, predict_batch
 
@@ -457,9 +457,9 @@ def test_nonpositive_block_size_rejected():
 
 
 def _per_leaf_reference(ens, C, B, kind) -> np.ndarray:
-    """The unfolded pipeline: per leaf, a dictionary over the leaf's own path
-    features and one score vector per subset, each gathered column by column
-    into a row-major output."""
+    """The pipeline without blocks: per leaf, a dictionary over the leaf's
+    own path features and one score vector per subset, each gathered column
+    by column into a row-major output."""
     metric = resolve_metric(kind)
     h = ens.num_features
     out = np.zeros((C.shape[0], pair_count(h) if metric.pairwise else h))
@@ -497,8 +497,8 @@ def test_folded_gather_matches_per_leaf_reference(seed, features, depth, trees,
 
 
 def test_folded_gather_lone_leaf_and_repeated_feature():
-    # Leaves 1 and 3 have no leaf sibling; leaves 5 and 6 fold, on a path
-    # that splits on feature 0 twice.
+    # Leaf 1 is a block of its own; leaves 3, 5 and 6 share the block under
+    # node 2, and the paths to 5 and 6 split on feature 0 twice.
     tree = Tree((inner(0, 0.5, 1, 2, cover=10.0), leaf(1.5, cover=4.0),
                  inner(0, 0.8, 3, 4, cover=6.0), leaf(-2.0, cover=2.0),
                  inner(1, 0.3, 5, 6, cover=4.0), leaf(0.5, cover=1.0),
@@ -512,6 +512,57 @@ def test_folded_gather_lone_leaf_and_repeated_feature():
             np.testing.assert_allclose(
                 woodelf(ens, C, background, kind).values,
                 _per_leaf_reference(ens, C, background, kind), rtol=0, atol=1e-12)
+
+
+def _chain_tree(depth: int, features: int) -> Tree:
+    """Splits with a leaf on alternating sides down to depth - 2, then a full
+    height-2 subtree: leaves at every depth, and a block keyed by depth + 1
+    bits. Split features cycle, so paths repeat them."""
+    nodes: list = []
+
+    def grow(d: int, cover: float) -> int:
+        slot = len(nodes)
+        nodes.append(None)
+        if d == depth:
+            nodes[slot] = leaf(0.25 * slot - 1.0, cover=cover)
+            return slot
+        if d >= depth - 2:
+            children = [grow(d + 1, cover / 2), grow(d + 1, cover / 2)]
+        else:   # a leaf (grown at full depth), then the rest of the chain
+            children = [grow(depth, 0.3 * cover), grow(d + 1, 0.7 * cover)]
+            if d % 2:
+                children.reverse()
+        nodes[slot] = inner(d % features, 0.2 + 0.06 * d, *children, cover=cover)
+        return slot
+
+    grow(0, 100.0)
+    return Tree(tuple(nodes), 0)
+
+
+@pytest.mark.parametrize("depth", [8, 12])
+def test_wide_block_keys_and_root_leaf_tree(depth):
+    # The bottom block's keys take depth + 1 bits, past uint8; the second
+    # tree is a lone leaf, one block with an empty key.
+    chain = _chain_tree(depth, 3)
+    assert chain.depth() == depth and subtree_blocks(chain).dtype == np.uint16
+    ens = TreeEnsemble((chain, Tree((leaf(1.5, cover=4.0),), 0)), 3)
+    rng = np.random.default_rng(34)
+    C = random_data(rng, 12, 3)
+    B = random_data(rng, 5, 3)
+    for background in (B, None):
+        for kind in ALL_KINDS:
+            runs = [woodelf(ens, C, background, kind, threads=t, block_size=b).values
+                    for b in (1, 7, 4096) for t in (1, 3)]
+            for values in runs[1:]:
+                np.testing.assert_array_equal(values, runs[0])
+            exact = [_values(exact_attribution(
+                tree_characteristic(ens, row, B) if background is not None
+                else ensemble_pd_characteristic(ens, row), kind)) for row in C]
+            np.testing.assert_allclose(runs[0], exact, rtol=0, atol=1e-12)
+            if depth <= 8:  # the reference builds 3^depth positional cubes a leaf
+                np.testing.assert_allclose(
+                    runs[0], _per_leaf_reference(ens, C, background, kind),
+                    rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("features", [2, 3])

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from woodelf.cube_mapping import canonical_path, collapse_map
 from woodelf.errors import ModelSchemaError
 from woodelf.patterns import (
     DecisionPattern,
+    block_keys,
     calc_decision_patterns,
     decision_pattern_single,
+    leaf_key_patterns,
     pattern_dtype_for_depth,
     pattern_width_for_depth,
     sibling_last_bit_pairs,
+    subtree_blocks,
 )
 from woodelf.synth import random_ensemble, random_data
-from woodelf.tree_model import Tree, inner, leaf, predict_tree
+from woodelf.tree_model import HARD_DEPTH_CAP, Tree, inner, leaf, predict_tree
 
 
 # ---------------------------------------------------------------------------
@@ -179,3 +183,96 @@ def test_predict_agrees_with_all_ones_leaf(three_leaf_tree):
         assert len(reached) == 1
         assert three_leaf_tree.nodes[reached[0]].leaf_weight == \
             predict_tree(three_leaf_tree, row)
+
+
+# ---------------------------------------------------------------------------
+# height-2 subtree blocks
+
+def test_block_keys_give_every_leaf_its_unique_feature_pattern():
+    # Random trees are not full and repeat split features along paths.
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        tree = random_ensemble(rng, 1, 3, max_depth=5).trees[0]
+        X = random_data(rng, 40, 3)
+        table = calc_decision_patterns(tree, X)
+        paths = tree.leaf_path_features()
+        blocks = subtree_blocks(tree)
+        keys = block_keys(blocks, np.ascontiguousarray(X.T))
+        in_chunks = calc_decision_patterns(tree, X, 7, blocks)
+        assert in_chunks.num_rows == 40
+        for b, key in enumerate(keys):
+            np.testing.assert_array_equal(in_chunks.patterns[b], key)
+            assert in_chunks.lengths[b] == blocks.blocks[b].bits
+        seen = []
+        for block, key in zip(blocks.blocks, keys, strict=True):
+            assert key.dtype == blocks.dtype
+            assert key.max(initial=0) < 1 << block.bits
+            for block_leaf in block.leaves:
+                seen.append(block_leaf.leaf)
+                collapse = collapse_map(canonical_path(paths[block_leaf.leaf])[0])
+                index = leaf_key_patterns(block, block_leaf)
+                expected = table.patterns[block_leaf.leaf].astype(np.intp)
+                if collapse is not None:
+                    index, expected = collapse[index], collapse[expected]
+                np.testing.assert_array_equal(index[key], expected)
+        assert sorted(seen) == sorted(tree.leaf_indices())
+
+
+def test_full_depth_six_tree_has_sixteen_four_leaf_blocks():
+    rng = np.random.default_rng(11)
+    tree = random_ensemble(rng, 1, 4, max_depth=6, full=True).trees[0]
+    blocks = subtree_blocks(tree)
+    assert len(blocks.blocks) == 16   # not 32 sibling pairs
+    assert all(len(b.leaves) == 4 and len(b.splits) == 3 and b.bits == 7
+               for b in blocks.blocks)
+    assert len(blocks.prefixes) == 15 and blocks.num_splits == 63
+    assert blocks.dtype == np.uint8
+
+
+def test_root_leaf_tree_is_one_keyless_block():
+    blocks = subtree_blocks(Tree((leaf(5.0),), 0))
+    assert [(b.bits, b.splits, [bl.leaf for bl in b.leaves])
+            for b in blocks.blocks] == [(0, (), [0])]
+    keys = block_keys(blocks, np.zeros((3, 4)))
+    np.testing.assert_array_equal(keys[0], np.zeros(4, dtype=np.uint8))
+
+
+def test_blocks_at_the_depth_cap_keep_keys_within_it():
+    # A chain of splits down to a full height-2 subtree whose leaves sit at
+    # the depth cap: that subtree's key would need one bit more than the cap,
+    # so its root becomes a prefix over two sibling-pair blocks.
+    nodes: list = []
+
+    def grow(d: int) -> int:
+        slot = len(nodes)
+        nodes.append(None)
+        if d == HARD_DEPTH_CAP:
+            nodes[slot] = leaf(float(slot))
+        elif d >= HARD_DEPTH_CAP - 2:
+            nodes[slot] = inner(d % 3, 0.9, grow(d + 1), grow(d + 1))
+        else:
+            nodes[slot] = inner(d % 3, 0.1 + 0.025 * d, grow(HARD_DEPTH_CAP), grow(d + 1))
+        return slot
+
+    grow(0)
+    tree = Tree(tuple(nodes), 0)
+    assert tree.depth() == HARD_DEPTH_CAP
+    blocks = subtree_blocks(tree)
+    assert blocks.dtype == np.uint32
+    assert max(b.bits for b in blocks.blocks) == HARD_DEPTH_CAP
+    bottom = [b for b in blocks.blocks if len(b.leaves) == 2]
+    assert len(bottom) == 2 and all(len(b.splits) == 1 for b in bottom)
+    assert sorted(bl.leaf for b in blocks.blocks for bl in b.leaves) == \
+        sorted(tree.leaf_indices())
+
+    rng = np.random.default_rng(12)
+    X = rng.uniform(size=(50, 3))
+    X[:25] = rng.uniform(0.8, 1.0, size=(25, 3))  # these reach the bottom splits
+    table = calc_decision_patterns(tree, X)
+    keys = calc_decision_patterns(tree, X, blocks=blocks)
+    for b, block in enumerate(blocks.blocks):
+        assert keys.patterns[b].dtype == np.uint32 and keys.lengths[b] == block.bits
+        for block_leaf in block.leaves:
+            np.testing.assert_array_equal(
+                leaf_key_patterns(block, block_leaf, keys.patterns[b]),
+                table.patterns[block_leaf.leaf])
