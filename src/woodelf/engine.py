@@ -2,23 +2,26 @@
 and batched gathers, generic over any per-cube metric that is linear in the
 cube weight.
 
-Per tree: (1) a frequency vector per leaf over baseline patterns, from a
-background dataset or from node covers; (2) sparse per-feature-subset
-contribution matrices over pattern pairs, built once per unique-feature
-count u and stored as row/column/value arrays; (3) dense score vectors: each
-leaf's frequencies are collapsed onto its unique path features (a feature
+Per tree: (1) baseline frequencies, from a background dataset or from node
+covers. The tree is cut into its maximal subtrees of height at most 2
+(``patterns.subtree_blocks``, one walk that also gives each leaf's path
+features); a background's rows are counted by their key in each block, while
+covers give each leaf a frequency vector directly; (2) sparse
+per-feature-subset contribution matrices over pattern pairs, built once per
+unique-feature count u and stored as row/column/value arrays; (3) dense
+score vectors: per leaf, the map from its block's keys to its patterns
+(``leaf_key_patterns``) spreads the block's key counts into the leaf's
+frequencies, which are collapsed onto its unique path features (a feature
 split on twice is one agreement bit) and multiplied by the u-matrices and
-the leaf weight; the tree is cut into its maximal subtrees of height at most
-2 (``patterns.subtree_blocks``), and each leaf's vectors are added, through
-the map from its block's keys to its unique-feature patterns, into one table
-per block and column; (4) one gather, which streams the consumer rows in
-row blocks: per row block, the rows are transposed once, each tree's block
-keys are computed from one comparison per distinct split feature
+the leaf weight; the same map, collapsed, adds the leaf's vectors into one
+table per block and column; (4) one gather, which streams the consumer rows
+in row blocks: per row block, the rows are transposed once, each tree's
+block keys are computed from one comparison per distinct split feature
 (``calc_decision_patterns`` given the tree's blocks), the keys index the
-block tables, and the values accumulate feature-major in a small
-(columns x block rows) buffer that is then copied into the output. Per-row
-results are summed in a fixed order (tree, block, column), so output is
-reproducible bit for bit regardless of the thread count and the block size.
+block tables, and the values accumulate feature-major in a small (columns x
+block rows) buffer that is then copied into the output. Per-row results are
+summed in a fixed order (tree, block, column), so output is reproducible bit
+for bit regardless of the thread count and the block size.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .patterns import (
     SubtreeBlocks,
     calc_decision_patterns,
     leaf_key_patterns,
-    sibling_last_bit_pairs,
     subtree_blocks,
 )
 from .tree_model import Tree, TreeEnsemble, as_matrix
@@ -107,30 +109,21 @@ def resolve_metric(metric: "Metric | MetricKind | str") -> Metric:
 # ---------------------------------------------------------------------------
 # Stage 1: frequency vectors
 
-def background_frequencies(tree: Tree, background) -> dict[int, np.ndarray]:
-    """Per-leaf relative frequencies of baseline patterns over the background.
+def background_frequencies(tree: Tree, background,
+                           blocks: SubtreeBlocks) -> list[np.ndarray]:
+    """How many background rows take each key of each of the tree's blocks:
+    one integer histogram of 2^bits entries per block, in block order.
 
-    Histograms are shared across sibling leaves: the right sibling's counts
-    are the left's with even/odd entries swapped (patterns differ only in the
-    last bit), halving the histogram work.
+    A leaf's pattern frequencies are its block's counts summed through
+    ``leaf_key_patterns`` and divided by the row count; counts stay integers
+    until then, so they are exact whatever the summation order.
     """
     B = as_matrix(background)
-    m = B.shape[0]
-    if m == 0:
+    if B.shape[0] == 0:
         raise ModeError("background mode requires a non-empty background dataset")
-    table = calc_decision_patterns(tree, B)
-    left_sibling = {right: left for left, right in sibling_last_bit_pairs(tree)}
-    counts: dict[int, np.ndarray] = {}
-    for lf in table.patterns:
-        mate = left_sibling.get(lf)
-        if mate is not None and mate in counts:
-            counts[lf] = counts[mate].reshape(-1, 2)[:, ::-1].ravel()
-        else:
-            counts[lf] = np.bincount(
-                table.patterns[lf].astype(np.int64),
-                minlength=1 << table.lengths[lf],
-            )
-    return {lf: c / m for lf, c in counts.items()}
+    keys = calc_decision_patterns(tree, B, blocks=blocks).patterns
+    return [np.bincount(keys[b], minlength=1 << block.bits)
+            for b, block in enumerate(blocks.blocks)]
 
 
 def path_dependent_frequencies(tree: Tree) -> dict[int, np.ndarray]:
@@ -339,10 +332,6 @@ class BatchAttribution:
         return self.values[:, pair_index(i, j, self.num_features)]
 
 
-def _rename_subset(subset: tuple[int, ...], rename: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(rename[i] for i in subset))
-
-
 def woodelf(ensemble: TreeEnsemble,
             consumers,
             background=None,
@@ -363,7 +352,10 @@ def woodelf(ensemble: TreeEnsemble,
     the tables it holds, per thread, about ``width * block_size`` floats and
     one key buffer (a split outcome per inner node and one key per block, for
     each row of the block), whatever the row count. Results are bit-identical
-    for any ``threads`` and ``block_size``.
+    for any ``threads`` and ``block_size``. A background is keyed the same
+    way, one tree at a time, and held whole while its keys are counted: one
+    key per block and row, one byte while keys fit 8 bits (16 bytes a row
+    for a full depth-6 tree, where per-leaf patterns took 64).
     """
     metric = resolve_metric(metric)
     if block_size is None:
@@ -385,41 +377,51 @@ def woodelf(ensemble: TreeEnsemble,
 
     cache = DictionaryCache()
     matrix_cache: dict[int, dict[tuple[int, ...], SubsetEntries]] = {}
+    # Output column of each u-matrix subset, per rename (a rename fixes u).
+    column_cache: dict[tuple[int, ...], list[int]] = {}
     plan: list[tuple[Tree, SubtreeBlocks, Tables]] = []
 
     for tree in ensemble.trees:
         t0 = time.perf_counter()
-        freqs = background_frequencies(tree, B) if B is not None \
-            else path_dependent_frequencies(tree)
-        t1 = time.perf_counter()
-        timings["frequencies"] += t1 - t0
-        paths = tree.leaf_path_features()
         blocks = subtree_blocks(tree)
-        timings["matrices"] += time.perf_counter() - t1
+        t1 = time.perf_counter()
+        timings["matrices"] += t1 - t0
+        if B is not None:
+            counts = background_frequencies(tree, B, blocks)
+        else:
+            freqs = path_dependent_frequencies(tree)
+        timings["frequencies"] += time.perf_counter() - t1
 
         tables: Tables = []
         for b, block in enumerate(blocks.blocks):
             columns: dict[int, np.ndarray] = {}
             for block_leaf in block.leaves:
-                lf = block_leaf.leaf
                 t1 = time.perf_counter()
-                dictionary, rename, collapse = cache.get(paths[lf])
+                dictionary, rename, collapse = cache.get(block_leaf.features)
                 matrices = matrix_cache.get(dictionary.depth)
                 if matrices is None:
                     matrices = build_contribution_matrices(dictionary, metric)
                     matrix_cache[dictionary.depth] = matrices
                 t2 = time.perf_counter()
-                f = freqs[lf]
+                subset_columns = column_cache.get(rename)
+                if subset_columns is None:
+                    subset_columns = column_cache[rename] = [
+                        _subset_column(tuple(sorted(rename[i] for i in subset)), h,
+                                       metric.pairwise)
+                        for subset in matrices]
+                # The leaf's pattern for each key of its block.
+                index = leaf_key_patterns(block, block_leaf)
+                if B is not None:
+                    f = np.bincount(index, weights=counts[b],
+                                    minlength=1 << len(block_leaf.features)) / B.shape[0]
+                else:
+                    f = freqs[block_leaf.leaf]
                 if collapse is not None:
                     f = np.bincount(collapse, weights=f, minlength=1 << dictionary.depth)
-                scores = build_score_vectors(matrices, f, tree.nodes[lf].leaf_weight)
-                # The leaf's unique-feature pattern for each key of its block.
-                index = leaf_key_patterns(block, block_leaf)
-                if collapse is not None:
                     index = collapse[index]
-                for subset, vec in scores.items():
-                    col = _subset_column(_rename_subset(subset, rename), h,
-                                         metric.pairwise)
+                scores = build_score_vectors(matrices, f,
+                                             tree.nodes[block_leaf.leaf].leaf_weight)
+                for col, vec in zip(subset_columns, scores.values(), strict=True):
                     if col in columns:
                         columns[col] += vec[index]
                     else:

@@ -1,21 +1,22 @@
-"""Decision patterns and the gather's subtree-block keys.
+"""Decision patterns and subtree-block keys.
 
 For a leaf with path (root=n1, ..., nk, leaf), bit i of the pattern says
 whether the row would follow the path's edge out of ni (1) or branch off (0).
 Bits accumulate most-significant-first, so the root's edge occupies the
-highest populated bit. Patterns for a whole data matrix are computed level by
-level with one split evaluation per inner node; background frequencies are
-counted over them.
+highest populated bit.
 
-The gather keys rows by subtree blocks instead: the maximal subtrees of
+The engine keys rows by subtree blocks instead: the maximal subtrees of
 height at most 2 (a lone leaf, a sibling pair, or up to four leaves under
 one node). A block's key holds the row's raw split outcomes (``x[f] < t``),
 most significant first: one bit per ancestor of the block's root, then one
 per inner node of the block. Raw outcomes do not depend on the leaf, so both
 children of a node extend the same prefix, and every leaf of a block reads
-its agreement pattern off the block's key (``leaf_key_patterns``).
-``calc_decision_patterns`` computes either kind: per-leaf patterns, or, given
-the tree's blocks, per-block keys.
+its agreement pattern off the block's key (``leaf_key_patterns``). Both the
+background frequencies (counts of each block's keys) and the gather use
+these keys. ``calc_decision_patterns`` computes either kind: given the
+tree's blocks, per-block keys; otherwise per-leaf patterns, level by level
+with one split evaluation per inner node, which the tests use as the
+reference.
 """
 
 from __future__ import annotations
@@ -155,23 +156,6 @@ def decision_pattern_single(tree: Tree, leaf_index: int, row) -> DecisionPattern
     return DecisionPattern(bits, len(path) - 1)
 
 
-def sibling_last_bit_pairs(tree: Tree) -> list[tuple[int, int]]:
-    """All (left leaf, right leaf) pairs sharing a parent.
-
-    For any row, the two patterns differ only in the last bit, so the right
-    sibling's pattern vector (and its histogram) can be derived from the
-    left's instead of recomputed.
-    """
-    pairs = []
-    for idx in tree.bfs_order():
-        node = tree.nodes[idx]
-        if node.is_leaf:
-            continue
-        if tree.nodes[node.left].is_leaf and tree.nodes[node.right].is_leaf:
-            pairs.append((node.left, node.right))
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # Height-2 subtree blocks
 
@@ -182,6 +166,7 @@ class BlockLeaf(NamedTuple):
     flips: int                          # ancestor bits where the path goes right
     steps: tuple[tuple[int, int], ...]  # (key bit, 1 if the path goes right),
                                         # per inner node of the block on the path
+    features: tuple[int, ...]           # split features along the whole path
 
 
 class Block(NamedTuple):
@@ -214,7 +199,8 @@ class SubtreeBlocks(NamedTuple):
 def subtree_blocks(tree: Tree) -> SubtreeBlocks:
     """The tree's maximal subtrees of height at most 2 whose keys fit the
     depth cap, in breadth-first order of their roots, each with its leaves in
-    breadth-first order."""
+    breadth-first order and every leaf with its path features: one walk of
+    the tree gives all the engine needs of its shape."""
     order = tree.bfs_order()
     height: dict[int, int] = {}
     for idx in reversed(order):
@@ -234,40 +220,43 @@ def subtree_blocks(tree: Tree) -> SubtreeBlocks:
 
     prefixes: list[tuple[int, int]] = []
     blocks: list[Block] = []
-    queue = [(tree.root, -1, 0, 0)]   # node, its ancestors' prefix, depth, flips
-    for idx, prefix, depth, flips in queue:
+    # node, its ancestors' prefix, flips, path features
+    queue = [(tree.root, -1, 0, ())]
+    for idx, prefix, flips, path in queue:
         node = tree.nodes[idx]
         if height[idx] <= 2:
-            block = _block(tree, idx, prefix, depth, flips, row)
+            block = _block(tree, idx, prefix, flips, path, row)
             # A full height-2 block's key has a bit more than its leaves'
             # depth: at the depth cap, its root is split into smaller blocks.
             if block.bits <= HARD_DEPTH_CAP:
                 blocks.append(block)
                 continue
         prefixes.append((prefix, row[idx]))
-        queue.append((node.left, len(prefixes) - 1, depth + 1, flips * 2))
-        queue.append((node.right, len(prefixes) - 1, depth + 1, flips * 2 + 1))
+        path += (node.feature,)
+        queue.append((node.left, len(prefixes) - 1, flips * 2, path))
+        queue.append((node.right, len(prefixes) - 1, flips * 2 + 1, path))
     bits = max(block.bits for block in blocks)
     return SubtreeBlocks(tuple(features), len(inner), tuple(prefixes),
                          tuple(blocks), pattern_dtype_for_depth(bits))
 
 
-def _block(tree: Tree, root: int, prefix: int, depth: int, flips: int,
+def _block(tree: Tree, root: int, prefix: int, flips: int, path: tuple[int, ...],
            row: dict[int, int]) -> Block:
     node = tree.nodes[root]
     inner = [] if node.is_leaf else [root] + [
         child for child in (node.left, node.right) if not tree.nodes[child].is_leaf]
     bit = {idx: len(inner) - 1 - j for j, idx in enumerate(inner)}
     leaves = []
-    queue: list[tuple[int, tuple[tuple[int, int], ...]]] = [(root, ())]
-    for idx, steps in queue:
+    queue = [(root, (), path)]   # node, its steps, its path features
+    for idx, steps, features in queue:
         node = tree.nodes[idx]
         if node.is_leaf:
-            leaves.append(BlockLeaf(idx, flips, steps))
+            leaves.append(BlockLeaf(idx, flips, steps, features))
         else:
-            queue.append((node.left, steps + ((bit[idx], 0),)))
-            queue.append((node.right, steps + ((bit[idx], 1),)))
-    return Block(prefix, tuple(row[i] for i in inner), depth + len(inner),
+            features += (node.feature,)
+            queue.append((node.left, steps + ((bit[idx], 0),), features))
+            queue.append((node.right, steps + ((bit[idx], 1),), features))
+    return Block(prefix, tuple(row[i] for i in inner), len(path) + len(inner),
                  tuple(leaves))
 
 

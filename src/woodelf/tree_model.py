@@ -102,19 +102,6 @@ class Tree:
         """Features of the split nodes along the root-to-leaf path, in order."""
         return tuple(self.nodes[i].feature for i in self.path_to(leaf_index)[:-1])
 
-    def leaf_path_features(self) -> dict[int, tuple[int, ...]]:
-        """``path_features`` of every leaf, in ``leaf_indices`` order, from
-        one breadth-first walk."""
-        paths: dict[int, tuple[int, ...]] = {self.root: ()}
-        out = {}
-        for i in self.bfs_order():
-            node, path = self.nodes[i], paths.pop(i)
-            if node.is_leaf:
-                out[i] = path
-            else:
-                paths[node.left] = paths[node.right] = path + (node.feature,)
-        return out
-
     def depth(self) -> int:
         """Maximum number of split nodes along any root-to-leaf path."""
         best = 0

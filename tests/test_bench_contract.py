@@ -62,3 +62,22 @@ def test_traced_calls_reach_every_measured_layer():
             counts = traced.counts()
             assert [name for name in API_COUNTERS if not counts.get(name)] == []
             assert tracer.originals() == before
+
+
+def test_pattern_rows_count_every_consumer_and_background_row_once_per_tree():
+    # ``patterns.rows`` sums the rows keyed by ``calc_decision_patterns``:
+    # with one thread, the gather's row blocks add up to the consumer rows
+    # and the background is keyed once, per tree.
+    tracer = _load_tracer()
+    rng = np.random.default_rng(52)
+    ens = random_ensemble(rng, 3, 4, max_depth=4)
+    n, m = 20, 8
+    C = random_data(rng, n, 4)
+    B = random_data(rng, m, 4)
+    for background, keyed in ((B, n + m), (None, n)):
+        traced = tracer.Tracer()
+        with traced.installed():
+            woodelf.woodelf(ens, C, background, "shapley", threads=1, block_size=7)
+        layers = tracer.summarize(traced.span_records())
+        assert layers["patterns.calc_decision_patterns"]["rows"] == \
+            len(ens.trees) * keyed

@@ -32,7 +32,12 @@ from woodelf.oracle import (
     shapley_iv_exact,
     tree_characteristic,
 )
-from woodelf.patterns import calc_decision_patterns, decision_pattern_single, subtree_blocks
+from woodelf.patterns import (
+    calc_decision_patterns,
+    decision_pattern_single,
+    leaf_key_patterns,
+    subtree_blocks,
+)
 from woodelf.synth import random_data, random_ensemble
 from woodelf.tree_model import Tree, TreeEnsemble, inner, leaf, predict_batch
 
@@ -46,9 +51,27 @@ def _values(result):
 # ---------------------------------------------------------------------------
 # stage 1: background frequencies
 
+def _per_leaf_background_frequencies(tree, B) -> dict[int, np.ndarray]:
+    """Every leaf's pattern frequencies over the background, counted from
+    per-leaf patterns: the reference for block counts spread per leaf."""
+    table = calc_decision_patterns(tree, B)
+    return {lf: np.bincount(pats.astype(np.intp), minlength=1 << table.lengths[lf])
+            / len(B) for lf, pats in table.patterns.items()}
+
+
+def _spread_block_counts(tree, B) -> dict[int, np.ndarray]:
+    """Every leaf's pattern frequencies from its block's key counts, spread
+    through ``leaf_key_patterns`` as the pipeline does."""
+    blocks = subtree_blocks(tree)
+    counts = background_frequencies(tree, B, blocks)
+    return {bl.leaf: np.bincount(leaf_key_patterns(block, bl), weights=counts[b],
+                                 minlength=1 << len(bl.features)) / len(B)
+            for b, block in enumerate(blocks.blocks) for bl in block.leaves}
+
+
 def test_identical_background_rows_one_hot(three_leaf_tree):
     B = np.tile([2.0, 2.0], (6, 1))
-    freqs = background_frequencies(three_leaf_tree, B)
+    freqs = _spread_block_counts(three_leaf_tree, B)
     table = calc_decision_patterns(three_leaf_tree, B[:1])
     for lf, f in freqs.items():
         expected = np.zeros(1 << table.lengths[lf])
@@ -59,7 +82,9 @@ def test_identical_background_rows_one_hot(three_leaf_tree):
 def test_complementary_rows_split_depth_one_tree():
     tree = Tree((inner(0, 0.5, 1, 2), leaf(1.0), leaf(2.0)), 0)
     B = np.array([[0.0], [1.0]])
-    freqs = background_frequencies(tree, B)
+    blocks = subtree_blocks(tree)
+    np.testing.assert_array_equal(background_frequencies(tree, B, blocks), [[1, 1]])
+    freqs = _spread_block_counts(tree, B)
     np.testing.assert_array_equal(freqs[1], [0.5, 0.5])
     np.testing.assert_array_equal(freqs[2], [0.5, 0.5])
 
@@ -70,7 +95,8 @@ def test_background_frequencies_match_naive_recount():
         ens = random_ensemble(rng, 1, 4, max_depth=4)
         tree = ens.trees[0]
         B = random_data(rng, 23, 4)
-        freqs = background_frequencies(tree, B)
+        freqs = _spread_block_counts(tree, B)
+        assert sorted(freqs) == sorted(tree.leaf_indices())
         for lf, f in freqs.items():
             length = len(tree.path_features(lf))
             counts = np.zeros(1 << length)
@@ -82,7 +108,35 @@ def test_background_frequencies_match_naive_recount():
 
 def test_background_frequencies_reject_empty(three_leaf_tree):
     with pytest.raises(ModeError):
-        background_frequencies(three_leaf_tree, np.zeros((0, 2)))
+        background_frequencies(three_leaf_tree, np.zeros((0, 2)),
+                               subtree_blocks(three_leaf_tree))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), features=st.integers(1, 4),
+       depth=st.integers(1, 7), rows=st.sampled_from([1, 23, 5000]))
+def test_block_counts_spread_per_leaf_match_per_leaf_counts(seed, features,
+                                                            depth, rows):
+    # Random trees are not full and draw split features with repeats.
+    rng = np.random.default_rng(seed)
+    tree = random_ensemble(rng, 1, features, depth).trees[0]
+    B = random_data(rng, rows, features)
+    blocks = subtree_blocks(tree)
+    counts = background_frequencies(tree, B, blocks)
+    assert len(counts) == len(blocks.blocks)
+    for c, block in zip(counts, blocks.blocks):
+        assert c.dtype.kind == "i" and c.shape == (1 << block.bits,)
+        assert c.sum() == rows
+    for block_size in (1, 7, 4096):
+        keys = calc_decision_patterns(tree, B, block_size, blocks).patterns
+        for b, block in enumerate(blocks.blocks):
+            np.testing.assert_array_equal(
+                np.bincount(keys[b], minlength=1 << block.bits), counts[b])
+    spread = _spread_block_counts(tree, B)
+    reference = _per_leaf_background_frequencies(tree, B)
+    assert sorted(spread) == sorted(reference)
+    for lf, f in reference.items():
+        np.testing.assert_array_equal(spread[lf], f)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +287,7 @@ def test_score_vectors_dimension_mismatch():
 # stage 4: gathers
 
 def test_gather_worked_example(two_split_tree, consumer_row, baseline_row):
-    freqs = background_frequencies(two_split_tree, baseline_row.reshape(1, -1))
+    freqs = _per_leaf_background_frequencies(two_split_tree, baseline_row.reshape(1, -1))
     score_vectors = {}
     for lf in two_split_tree.leaf_indices():
         d = map_patterns_to_cube(two_split_tree.path_features(lf))
@@ -262,7 +316,7 @@ def test_gather_matches_scalar_loop():
     tree = ens.trees[0]
     C = random_data(rng, 9, 3)
     B = random_data(rng, 4, 3)
-    freqs = background_frequencies(tree, B)
+    freqs = _per_leaf_background_frequencies(tree, B)
     score_vectors = {}
     for lf in tree.leaf_indices():
         d = map_patterns_to_cube(tree.path_features(lf))
@@ -409,7 +463,7 @@ def test_custom_constant_metric_flows_through():
 
     expected = np.zeros_like(got)
     for tree in ens.trees:
-        freqs = background_frequencies(tree, B)
+        freqs = _per_leaf_background_frequencies(tree, B)
         table = calc_decision_patterns(tree, C)
         for lf in tree.leaf_indices():
             path = tree.path_features(lf)
@@ -464,7 +518,7 @@ def _per_leaf_reference(ens, C, B, kind) -> np.ndarray:
     h = ens.num_features
     out = np.zeros((C.shape[0], pair_count(h) if metric.pairwise else h))
     for tree in ens.trees:
-        freqs = background_frequencies(tree, B) if B is not None \
+        freqs = _per_leaf_background_frequencies(tree, B) if B is not None \
             else path_dependent_frequencies(tree)
         table = calc_decision_patterns(tree, C)
         for lf in tree.leaf_indices():

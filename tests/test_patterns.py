@@ -11,7 +11,6 @@ from woodelf.patterns import (
     leaf_key_patterns,
     pattern_dtype_for_depth,
     pattern_width_for_depth,
-    sibling_last_bit_pairs,
     subtree_blocks,
 )
 from woodelf.synth import random_ensemble, random_data
@@ -136,41 +135,23 @@ def test_pattern_table_dtype_tracks_depth():
 
 
 # ---------------------------------------------------------------------------
-# sibling pairs
-
-def test_sibling_pairs_full_depth_two_tree():
-    tree = Tree((
-        inner(0, 0.5, 1, 2),
-        inner(1, 0.5, 3, 4),
-        inner(0, 0.7, 5, 6),
-        leaf(1.0), leaf(2.0), leaf(3.0), leaf(4.0),
-    ), 0)
-    assert sibling_last_bit_pairs(tree) == [(3, 4), (5, 6)]
-
-
-def test_sibling_pairs_chain_tree():
-    # Every right child is a leaf; only the deepest split has two leaf children.
-    tree = Tree((
-        inner(0, 0.5, 1, 2),
-        inner(1, 0.5, 3, 4),
-        leaf(0.0),
-        inner(2, 0.5, 5, 6),
-        leaf(1.0),
-        leaf(2.0), leaf(3.0),
-    ), 0)
-    assert sibling_last_bit_pairs(tree) == [(5, 6)]
-
+# sibling leaves
 
 def test_sibling_patterns_differ_in_last_bit_only():
     rng = np.random.default_rng(8)
+    pairs = 0
     for _ in range(5):
         ens = random_ensemble(rng, 1, 4, max_depth=4)
         tree = ens.trees[0]
         X = random_data(rng, 20, 4)
         table = calc_decision_patterns(tree, X)
-        for left_leaf, right_leaf in sibling_last_bit_pairs(tree):
-            np.testing.assert_array_equal(
-                table.patterns[left_leaf] ^ 1, table.patterns[right_leaf])
+        for node in tree.nodes:
+            if not node.is_leaf and tree.nodes[node.left].is_leaf \
+                    and tree.nodes[node.right].is_leaf:
+                pairs += 1
+                np.testing.assert_array_equal(
+                    table.patterns[node.left] ^ 1, table.patterns[node.right])
+    assert pairs
 
 
 def test_predict_agrees_with_all_ones_leaf(three_leaf_tree):
@@ -195,7 +176,6 @@ def test_block_keys_give_every_leaf_its_unique_feature_pattern():
         tree = random_ensemble(rng, 1, 3, max_depth=5).trees[0]
         X = random_data(rng, 40, 3)
         table = calc_decision_patterns(tree, X)
-        paths = tree.leaf_path_features()
         blocks = subtree_blocks(tree)
         keys = block_keys(blocks, np.ascontiguousarray(X.T))
         in_chunks = calc_decision_patterns(tree, X, 7, blocks)
@@ -209,13 +189,22 @@ def test_block_keys_give_every_leaf_its_unique_feature_pattern():
             assert key.max(initial=0) < 1 << block.bits
             for block_leaf in block.leaves:
                 seen.append(block_leaf.leaf)
-                collapse = collapse_map(canonical_path(paths[block_leaf.leaf])[0])
+                collapse = collapse_map(canonical_path(block_leaf.features)[0])
                 index = leaf_key_patterns(block, block_leaf)
                 expected = table.patterns[block_leaf.leaf].astype(np.intp)
                 if collapse is not None:
                     index, expected = collapse[index], collapse[expected]
                 np.testing.assert_array_equal(index[key], expected)
         assert sorted(seen) == sorted(tree.leaf_indices())
+
+
+def test_block_leaf_features_match_per_leaf_paths():
+    rng = np.random.default_rng(42)
+    for tree in random_ensemble(rng, 6, 3, max_depth=5).trees:
+        block_leaves = [bl for b in subtree_blocks(tree).blocks for bl in b.leaves]
+        assert sorted(bl.leaf for bl in block_leaves) == sorted(tree.leaf_indices())
+        for bl in block_leaves:
+            assert bl.features == tree.path_features(bl.leaf)
 
 
 def test_full_depth_six_tree_has_sixteen_four_leaf_blocks():

@@ -317,11 +317,3 @@ def test_model_to_dict_round_trips_in_memory(three_leaf_ensemble):
     from woodelf.tree_model import model_from_dict
     doc = model_to_dict(three_leaf_ensemble)
     assert model_from_dict(doc) == three_leaf_ensemble
-
-
-def test_leaf_path_features_match_per_leaf_paths():
-    rng = np.random.default_rng(42)
-    for tree in random_ensemble(rng, 6, 3, max_depth=5).trees:
-        paths = tree.leaf_path_features()
-        assert list(paths) == tree.leaf_indices()
-        assert paths == {lf: tree.path_features(lf) for lf in paths}
