@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "background CSV (or consumers CSV if none), or a CSV "
                         "file whose first row is the baseline")
     p.add_argument("--out", required=True, help="output file (.csv or .json)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
     p.add_argument("--verify", type=int, default=0, metavar="N",
                    help="cross-check N sampled rows against the exact oracle")
@@ -130,6 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selftest)
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -5,23 +5,26 @@ cube weight.
 Per tree: (1) baseline frequencies, from a background dataset or from node
 covers. The tree is cut into its maximal subtrees of height at most 2
 (``patterns.subtree_blocks``, one walk that also gives each leaf's path
-features); a background's rows are counted by their key in each block, while
-covers give each leaf a frequency vector directly; (2) sparse
-per-feature-subset contribution matrices over pattern pairs, built once per
-unique-feature count u and stored as row/column/value arrays; (3) dense
-score vectors: per leaf, the map from its block's keys to its patterns
-(``leaf_key_patterns``) spreads the block's key counts into the leaf's
-frequencies, which are collapsed onto its unique path features (a feature
-split on twice is one agreement bit) and multiplied by the u-matrices and
-the leaf weight; the same map, collapsed, adds the leaf's vectors into one
-table per block and column; (4) one gather, which streams the consumer rows
-in row blocks: per row block, the rows are transposed once, each tree's
-block keys are computed from one comparison per distinct split feature
-(``calc_decision_patterns`` given the tree's blocks), the keys index the
-block tables, and the values accumulate feature-major in a small (columns x
-block rows) buffer that is then copied into the output. Per-row results are
-summed in a fixed order (tree, block, column), so output is reproducible bit
-for bit regardless of the thread count and the block size.
+features and plans the block keys); a background's rows are counted by their
+key in each block, while covers give each leaf a frequency vector directly;
+(2) sparse per-feature-subset contribution matrices over pattern pairs,
+built once per unique-feature count u, stored as row/column/value arrays and
+stacked into one entry set per u (``stack_subsets``); (3) dense score
+vectors: per leaf, the map from its block's keys to its patterns
+(``leaf_key_map``, cached per leaf shape and block shape) spreads the
+block's key counts into the leaf's frequencies, which are collapsed onto its
+unique path features (a feature split on twice is one agreement bit); one
+weighted ``bincount`` over the stacked entries then gives all of the leaf's
+score vectors, and one add folds them, mapped to the block's keys, into the
+block's (columns x keys) table; (4) one gather, which streams the consumer
+rows in row blocks sized from the output width (``gather_block_rows``): per
+row block, the rows are transposed once, each tree's block keys are computed
+from one comparison per distinct split feature (``calc_decision_patterns``
+given the tree's blocks), the keys index the block tables, and the values
+accumulate feature-major in a small (columns x block rows) buffer that is
+then copied into the output. Per-row results are summed in a fixed order
+(tree, block, column), so output is reproducible bit for bit regardless of
+the thread count and the block size.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .patterns import (
     LeafPatternTable,
     SubtreeBlocks,
     calc_decision_patterns,
-    leaf_key_patterns,
+    leaf_key_map,
     subtree_blocks,
 )
 from .tree_model import Tree, TreeEnsemble, as_matrix
@@ -211,25 +214,51 @@ def build_contribution_matrices(dictionary: CubeDictionary,
     }
 
 
+class StackedEntries(NamedTuple):
+    """Every subset's contribution-matrix entries for one unique-feature
+    count, stacked in subset order: subset s's entry at (consumer pattern pc,
+    baseline pattern pb) is at row s * size + pc and column pb."""
+
+    subsets: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    size: int
+
+
+def stack_subsets(matrices: Mapping[tuple[int, ...], SubsetEntries],
+                  size: int) -> StackedEntries:
+    """Stack ``size``-square per-subset matrices, keeping their order."""
+    if any(m.size != size for m in matrices.values()):
+        raise DimensionError(f"every matrix to stack must be {size}-square")
+    # A leading empty array fixes the dtype when there are no subsets.
+    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    values = [np.empty(0)]
+    for s, m in enumerate(matrices.values()):
+        rows.append(s * size + m.rows)
+        cols.append(m.cols)
+        values.append(m.values)
+    return StackedEntries(tuple(matrices), np.concatenate(rows), np.concatenate(cols),
+                          np.concatenate(values), size)
+
+
 # ---------------------------------------------------------------------------
 # Stage 3: score vectors
 
-def build_score_vectors(matrices: Mapping[tuple[int, ...], SubsetEntries],
-                        frequencies: np.ndarray,
-                        leaf_weight: float) -> dict[tuple[int, ...], np.ndarray]:
-    """Dense per-subset score vectors: leaf weight times matrix times
-    frequencies, one weighted ``bincount`` over each subset's entries."""
-    out = {}
-    for subset, matrix in matrices.items():
-        if matrix.size != frequencies.shape[0]:
-            raise DimensionError(
-                f"matrix is {matrix.size}-square but the frequency vector has "
-                f"length {frequencies.shape[0]}"
-            )
-        out[subset] = leaf_weight * np.bincount(
-            matrix.rows, weights=matrix.values * frequencies[matrix.cols],
-            minlength=matrix.size)
-    return out
+def build_score_vectors(stacked: StackedEntries, frequencies: np.ndarray,
+                        leaf_weight: float) -> np.ndarray:
+    """Dense score vectors, one row per subset of ``stacked.subsets``: leaf
+    weight times matrix times frequencies, from one weighted ``bincount``
+    over the stacked entries. Each subset's bins receive the same products
+    in the same order as a ``bincount`` over that subset's entries alone."""
+    if stacked.size != frequencies.shape[0]:
+        raise DimensionError(
+            f"matrix is {stacked.size}-square but the frequency vector has "
+            f"length {frequencies.shape[0]}"
+        )
+    scores = np.bincount(stacked.rows, weights=stacked.values * frequencies[stacked.cols],
+                         minlength=len(stacked.subsets) * stacked.size)
+    return leaf_weight * scores.reshape(len(stacked.subsets), stacked.size)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +268,38 @@ def build_score_vectors(matrices: Mapping[tuple[int, ...], SubsetEntries],
 # table is indexed by that key's values: a leaf's patterns, or a block's keys.
 Tables = list[tuple[int, dict[int, np.ndarray]]]
 
+# Output bytes a gather row block aims for, and its largest row count: key
+# buffers grow with rows times inner nodes, whatever the width.
+GATHER_BLOCK_BYTES = 768 * 1024
+MAX_GATHER_ROWS = 8 * DEFAULT_BLOCK_SIZE
 
-def _subset_column(subset: tuple[int, ...], num_features: int, pairwise: bool) -> int:
-    """Output column of a feature subset; pairs use the packed
-    upper-triangular layout."""
-    if (len(subset) == 2) != pairwise:
+
+def gather_block_rows(width: int) -> int:
+    """Default gather row block for an output ``width`` columns wide: the
+    rows whose float64 values fill ``GATHER_BLOCK_BYTES``, at least
+    ``DEFAULT_BLOCK_SIZE`` and at most ``MAX_GATHER_ROWS``."""
+    rows = GATHER_BLOCK_BYTES // (8 * max(width, 1))
+    return min(MAX_GATHER_ROWS, max(DEFAULT_BLOCK_SIZE, rows))
+
+
+def _subset_ordinals(subsets: Sequence[tuple[int, ...]], pairwise: bool) -> np.ndarray:
+    """The subsets as one (subsets x subset size) array of path ordinals."""
+    size = 2 if pairwise else 1
+    if any(len(subset) != size for subset in subsets):
         raise DimensionError(
             "metric returned a subset size that contradicts its pairwise flag"
         )
-    return subset[0] if not pairwise else pair_index(subset[0], subset[1], num_features)
+    return np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
+
+
+def _subset_columns(ordinals: np.ndarray, rename: tuple[int, ...],
+                    num_features: int) -> list[int]:
+    """Output column of each subset once its ordinals are renamed to feature
+    ids; pairs use the packed upper-triangular layout."""
+    features = np.array(rename, dtype=np.intp)[ordinals]
+    if ordinals.shape[1] == 1:
+        return features[:, 0].tolist()
+    return pair_index(features.min(axis=1), features.max(axis=1), num_features).tolist()
 
 
 def _gather_into(acc: np.ndarray, tables: Tables,
@@ -272,9 +324,11 @@ def gather_attributions(score_vectors: Mapping[int, Mapping[tuple[int, ...], np.
     upper-triangular column layout. Values are added to ``out`` if given.
     """
     width = pair_count(num_features) if pairwise else num_features
+    features = tuple(range(num_features))
     tables = [
-        (lf, {_subset_column(subset, num_features, pairwise): vec
-              for subset, vec in per_subset.items()})
+        (lf, dict(zip(_subset_columns(_subset_ordinals(tuple(per_subset), pairwise),
+                                      features, num_features),
+                      per_subset.values())))
         for lf, per_subset in score_vectors.items()
     ]
     acc = np.zeros((width, consumer_patterns.num_rows)) if out is None \
@@ -344,24 +398,25 @@ def woodelf(ensemble: TreeEnsemble,
     the ensemble's covers drive path-dependent mode. Interaction metrics
     fill unordered pairs only. Stage wall times are reported in ``timings``.
 
-    Each tree's score tables are built once: one table per height-2 subtree
-    block and column, of 2^(key bits) floats, where a block's key has a bit
-    per ancestor and per inner node of the block. The gather then splits the
-    rows evenly over ``threads`` and walks each slice in row blocks of
-    ``block_size`` rows (default ``patterns.DEFAULT_BLOCK_SIZE``), so besides
-    the tables it holds, per thread, about ``width * block_size`` floats and
-    one key buffer (a split outcome per inner node and one key per block, for
-    each row of the block), whatever the row count. Results are bit-identical
-    for any ``threads`` and ``block_size``. A background is keyed the same
-    way, one tree at a time, and held whole while its keys are counted: one
-    key per block and row, one byte while keys fit 8 bits (16 bytes a row
-    for a full depth-6 tree, where per-leaf patterns took 64).
+    Each tree's score tables are built once: one (columns x keys) table per
+    height-2 subtree block, of 2^(key bits) floats a column, where a block's
+    key has a bit per ancestor and per inner node of the block. The gather
+    then splits the rows evenly over ``threads`` and walks each slice in row
+    blocks of ``block_size`` rows (default ``gather_block_rows(width)``:
+    8,192 rows at 12 output columns, 4,096 from 24 on), so besides the
+    tables it holds, per thread, ``width * block_size`` floats and one key
+    buffer (a split outcome per inner node and one key per block and prefix,
+    for each row of the block), whatever the row count. Results are
+    bit-identical for any ``threads`` and ``block_size``. A background is
+    keyed the same way, one tree at a time, and held whole while its keys are
+    counted: one key per block and row, one byte while keys fit 8 bits (16
+    bytes a row for a full depth-6 tree, where per-leaf patterns took 64).
     """
     metric = resolve_metric(metric)
-    if block_size is None:
-        block_size = DEFAULT_BLOCK_SIZE
-    if block_size < 1:
+    if block_size is not None and block_size < 1:
         raise ValueError(f"block_size must be positive, got {block_size}")
+    if threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
     C = as_matrix(consumers)
     h = ensemble.num_features
     if C.shape[1] != h:
@@ -373,12 +428,17 @@ def woodelf(ensemble: TreeEnsemble,
             raise DimensionError(f"background has {B.shape[1]} columns, expected {h}")
         if B.shape[0] == 0:
             B = None  # empty background falls back to path-dependent mode
+    width = pair_count(h) if metric.pairwise else h
+    if block_size is None:
+        block_size = gather_block_rows(width)
     timings = {"frequencies": 0.0, "matrices": 0.0, "scores": 0.0, "gather": 0.0}
 
     cache = DictionaryCache()
-    matrix_cache: dict[int, dict[tuple[int, ...], SubsetEntries]] = {}
-    # Output column of each u-matrix subset, per rename (a rename fixes u).
+    # Per u: the u-matrices' entries stacked, and their subsets' ordinals.
+    stacks: dict[int, tuple[StackedEntries, np.ndarray]] = {}
+    # Output column of each stacked subset, per rename (a rename fixes u).
     column_cache: dict[tuple[int, ...], list[int]] = {}
+    key_maps: dict[tuple, np.ndarray] = {}
     plan: list[tuple[Tree, SubtreeBlocks, Tables]] = []
 
     for tree in ensemble.trees:
@@ -394,48 +454,55 @@ def woodelf(ensemble: TreeEnsemble,
 
         tables: Tables = []
         for b, block in enumerate(blocks.blocks):
-            columns: dict[int, np.ndarray] = {}
+            # The block's output columns in first-appearance order, and per
+            # leaf the table rows of its subsets and its scores by block key.
+            positions: dict[int, int] = {}
+            folds = []
             for block_leaf in block.leaves:
                 t1 = time.perf_counter()
                 dictionary, rename, collapse = cache.get(block_leaf.features)
-                matrices = matrix_cache.get(dictionary.depth)
-                if matrices is None:
-                    matrices = build_contribution_matrices(dictionary, metric)
-                    matrix_cache[dictionary.depth] = matrices
+                u = dictionary.depth
+                if u not in stacks:
+                    stacked = stack_subsets(build_contribution_matrices(dictionary, metric),
+                                            1 << u)
+                    stacks[u] = stacked, _subset_ordinals(stacked.subsets, metric.pairwise)
+                stacked, ordinals = stacks[u]
                 t2 = time.perf_counter()
                 subset_columns = column_cache.get(rename)
                 if subset_columns is None:
-                    subset_columns = column_cache[rename] = [
-                        _subset_column(tuple(sorted(rename[i] for i in subset)), h,
-                                       metric.pairwise)
-                        for subset in matrices]
+                    subset_columns = column_cache[rename] = \
+                        _subset_columns(ordinals, rename, h)
                 # The leaf's pattern for each key of its block.
-                index = leaf_key_patterns(block, block_leaf)
+                index = leaf_key_map(block, block_leaf, key_maps)
                 if B is not None:
                     f = np.bincount(index, weights=counts[b],
                                     minlength=1 << len(block_leaf.features)) / B.shape[0]
                 else:
                     f = freqs[block_leaf.leaf]
                 if collapse is not None:
-                    f = np.bincount(collapse, weights=f, minlength=1 << dictionary.depth)
+                    f = np.bincount(collapse, weights=f, minlength=1 << u)
                     index = collapse[index]
-                scores = build_score_vectors(matrices, f,
+                scores = build_score_vectors(stacked, f,
                                              tree.nodes[block_leaf.leaf].leaf_weight)
-                for col, vec in zip(subset_columns, scores.values(), strict=True):
-                    if col in columns:
-                        columns[col] += vec[index]
-                    else:
-                        columns[col] = vec[index]
+                folds.append(([positions.setdefault(col, len(positions))
+                               for col in subset_columns], scores[:, index]))
                 t3 = time.perf_counter()
                 timings["matrices"] += t2 - t1
                 timings["scores"] += t3 - t2
-            tables.append((b, columns))
+            t1 = time.perf_counter()
+            # Zero-filled, so the gather's accumulator (never -0.0) reads the
+            # same sums as from tables started at a leaf's first values.
+            table = np.zeros((len(positions), 1 << block.bits))
+            for rows, values in folds:
+                table[rows] += values
+            tables.append((b, dict(zip(positions, table))))
+            timings["scores"] += time.perf_counter() - t1
         plan.append((tree, blocks, tables))
 
     n = C.shape[0]
-    out = np.zeros((n, pair_count(h) if metric.pairwise else h))
+    out = np.zeros((n, width))
     t0 = time.perf_counter()
-    if threads <= 1 or n == 0:
+    if threads == 1 or n == 0:
         _gather_rows(plan, C, out, 0, n, block_size)
     else:
         bounds = np.linspace(0, n, threads + 1, dtype=int)

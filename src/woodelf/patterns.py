@@ -13,10 +13,12 @@ per inner node of the block. Raw outcomes do not depend on the leaf, so both
 children of a node extend the same prefix, and every leaf of a block reads
 its agreement pattern off the block's key (``leaf_key_patterns``). Both the
 background frequencies (counts of each block's keys) and the gather use
-these keys. ``calc_decision_patterns`` computes either kind: given the
-tree's blocks, per-block keys; otherwise per-leaf patterns, level by level
-with one split evaluation per inner node, which the tests use as the
-reference.
+these keys. ``subtree_blocks`` also plans how to compute them: prefixes
+level by level and blocks grouped by split count, so ``block_keys`` fills
+each group of keys with a few operations on (keys x rows) arrays.
+``calc_decision_patterns`` computes either kind: given the tree's blocks,
+per-block keys; otherwise per-leaf patterns, level by level with one split
+evaluation per inner node, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def calc_decision_patterns(tree: Tree, data,
     if blocks is not None:
         chunks = [block_keys(blocks, np.ascontiguousarray(X[start:start + block_size].T))
                   for start in range(0, max(n, 1), block_size)]
-        keys = [np.concatenate(k) if len(k) > 1 else k[0] for k in zip(*chunks)]
+        keys = np.concatenate(chunks, axis=1) if len(chunks) > 1 else chunks[0]
         return LeafPatternTable(dict(enumerate(keys)),
                                 {b: block.bits for b, block in enumerate(blocks.blocks)}, n)
     dtype = pattern_dtype_for_depth(tree.depth())
@@ -187,6 +189,12 @@ class SubtreeBlocks(NamedTuple):
     ``prefixes[i] = (j, r)`` is prefix j (or none, if -1) doubled plus split
     row r: the raw outcomes of a node's ancestors and of the node itself,
     shared by both of its children.
+
+    The key plan: ``levels`` holds the prefixes one tree level at a time, as
+    (target prefixes, their parent prefixes, their split rows), each level's
+    targets a contiguous range; ``groups`` holds the blocks by split count,
+    as (target blocks, their prefixes, their split rows in key order, one row
+    per block). A parent or prefix of -1 is the empty prefix.
     """
 
     features: tuple[tuple[int, slice, np.ndarray], ...]  # feature, split rows, thresholds (column)
@@ -194,6 +202,8 @@ class SubtreeBlocks(NamedTuple):
     prefixes: tuple[tuple[int, int], ...]
     blocks: tuple[Block, ...]
     dtype: np.dtype
+    levels: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def subtree_blocks(tree: Tree) -> SubtreeBlocks:
@@ -237,7 +247,33 @@ def subtree_blocks(tree: Tree) -> SubtreeBlocks:
         queue.append((node.right, len(prefixes) - 1, flips * 2 + 1, path))
     bits = max(block.bits for block in blocks)
     return SubtreeBlocks(tuple(features), len(inner), tuple(prefixes),
-                         tuple(blocks), pattern_dtype_for_depth(bits))
+                         tuple(blocks), pattern_dtype_for_depth(bits),
+                         _prefix_levels(prefixes), _block_groups(blocks))
+
+
+def _prefix_levels(prefixes: list[tuple[int, int]]) -> tuple:
+    # Prefixes are listed breadth-first, so each level is a contiguous range.
+    level: list[int] = []
+    for parent, _ in prefixes:
+        level.append(0 if parent < 0 else level[parent] + 1)
+    out = []
+    for _, group in itertools.groupby(range(len(prefixes)), key=level.__getitem__):
+        group = list(group)
+        parents, splits = zip(*(prefixes[i] for i in group))
+        out.append((slice(group[0], group[-1] + 1), np.array(parents, dtype=np.intp),
+                    np.array(splits, dtype=np.intp)))
+    return tuple(out)
+
+
+def _block_groups(blocks: list[Block]) -> tuple:
+    by_count: dict[int, list[int]] = {}
+    for b, block in enumerate(blocks):
+        by_count.setdefault(len(block.splits), []).append(b)
+    return tuple(
+        (np.array(group, dtype=np.intp),
+         np.array([blocks[b].prefix for b in group], dtype=np.intp),
+         np.array([blocks[b].splits for b in group], dtype=np.intp).reshape(len(group), count))
+        for count, group in sorted(by_count.items()))
 
 
 def _block(tree: Tree, root: int, prefix: int, flips: int, path: tuple[int, ...],
@@ -260,30 +296,33 @@ def _block(tree: Tree, root: int, prefix: int, flips: int, path: tuple[int, ...]
                  tuple(leaves))
 
 
-def block_keys(blocks: SubtreeBlocks, columns: np.ndarray) -> list[np.ndarray]:
-    """Every block's key for each row, given the rows feature-major
-    (``columns[f]`` holds feature f of every row)."""
+def block_keys(blocks: SubtreeBlocks, columns: np.ndarray) -> np.ndarray:
+    """Every block's key for each row, as a (blocks x rows) array, given the
+    rows feature-major (``columns[f]`` holds feature f of every row).
+
+    Follows the tree's key plan: each prefix level is its parents' keys
+    doubled plus its split outcomes, and each block group its prefixes' keys
+    extended the same way by each of its splits in turn."""
     n = columns.shape[1]
     goes_left = np.empty((blocks.num_splits, n), dtype=bool)
     for feature, rows, thresholds in blocks.features:
         np.less(columns[feature], thresholds, out=goes_left[rows])
 
-    def extend(key: np.ndarray | None, split: int) -> np.ndarray:
-        if key is None:
-            return goes_left[split].astype(blocks.dtype)
-        key = key + key
-        key += goes_left[split]
-        return key
-
-    prefixes: list[np.ndarray] = []
-    for prefix, split in blocks.prefixes:
-        prefixes.append(extend(prefixes[prefix] if prefix >= 0 else None, split))
-    keys = []
-    for block in blocks.blocks:
-        key = prefixes[block.prefix] if block.prefix >= 0 else None
-        for split in block.splits:
-            key = extend(key, split)
-        keys.append(np.zeros(n, dtype=blocks.dtype) if key is None else key)
+    # The last row stays 0: the empty prefix, which index -1 reads.
+    prefixes = np.empty((len(blocks.prefixes) + 1, n), dtype=blocks.dtype)
+    prefixes[-1] = 0
+    for targets, parents, splits in blocks.levels:
+        key = prefixes[parents]
+        key += key
+        key += goes_left[splits]
+        prefixes[targets] = key
+    keys = np.empty((len(blocks.blocks), n), dtype=blocks.dtype)
+    for targets, parents, splits in blocks.groups:
+        key = prefixes[parents]
+        for split in splits.T:
+            key += key
+            key += goes_left[split]
+        keys[targets] = key
     return keys
 
 
@@ -301,3 +340,16 @@ def leaf_key_patterns(block: Block, leaf: BlockLeaf,
     for bit, right in leaf.steps:
         pattern = pattern + pattern + (((keys >> bit) & 1) ^ right)
     return pattern
+
+
+def leaf_key_map(block: Block, leaf: BlockLeaf,
+                 cache: dict[tuple, np.ndarray]) -> np.ndarray:
+    """``leaf_key_patterns(block, leaf)`` from ``cache``, which holds one map
+    per block shape and leaf steps, with no ancestor bit flipped: the ancestor
+    bits sit above the step bits, so the leaf's flips apply as one XOR. The
+    result may be the cached array itself; do not write to it."""
+    shape = (block.bits, len(block.splits), leaf.steps)
+    base = cache.get(shape)
+    if base is None:
+        base = cache[shape] = leaf_key_patterns(block, leaf._replace(flips=0))
+    return base ^ (leaf.flips << len(leaf.steps)) if leaf.flips else base

@@ -18,6 +18,7 @@ from woodelf.engine import (
     build_contribution_matrices,
     build_score_vectors,
     resolve_metric,
+    stack_subsets,
     woodelf,
 )
 from woodelf.formula_core import (
@@ -220,7 +221,8 @@ def test_criterion_7_dictionary_growth_and_sparse_products():
             w = float(rng.normal())
             for kind in MetricKind:
                 metric = resolve_metric(kind)
-                scores = build_score_vectors(build_contribution_matrices(d, metric), f, w)
+                stacked = stack_subsets(build_contribution_matrices(d, metric), 1 << depth)
+                scores = dict(zip(stacked.subsets, build_score_vectors(stacked, f, w)))
                 reference: dict = {}
                 for (pc, pb), cube in d.entries.items():
                     for subset, value in metric.apply(cube):

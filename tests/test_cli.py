@@ -188,6 +188,16 @@ def test_missing_background_in_background_mode_exits_2(toy, capsys):
     assert "background" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_exits_2(toy, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--model", toy["model"], "--consumers", toy["consumers"],
+              "--threads", threads, "--out", str(toy["dir"] / "x.csv")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (toy["dir"] / "x.csv").exists()
+
+
 def test_path_dependent_without_covers_exits_2(toy):
     doc = json.loads(json.dumps(MODEL_DOC))
     for node in doc["trees"][0]["nodes"]:

@@ -19,13 +19,21 @@ from woodelf.engine import (
     build_contribution_matrices,
     build_score_vectors,
     gather_attributions,
+    gather_block_rows,
     path_dependent_frequencies,
     resolve_metric,
     shapley_metric,
+    stack_subsets,
     woodelf,
 )
 from woodelf.errors import DimensionError, ModeError
-from woodelf.formula_core import MetricKind, pair_count, pair_index
+from woodelf.formula_core import (
+    MetricKind,
+    cube_shapley,
+    cube_shapley_iv,
+    pair_count,
+    pair_index,
+)
 from woodelf.oracle import (
     ensemble_pd_characteristic,
     exact_attribution,
@@ -46,6 +54,12 @@ ALL_KINDS = list(MetricKind)
 
 def _values(result):
     return result.singles if result.singles is not None else result.pairs
+
+
+def _score_dict(matrices, f, w) -> dict:
+    """``build_score_vectors`` over the stacked matrices, by subset."""
+    stacked = stack_subsets(matrices, f.shape[0])
+    return dict(zip(stacked.subsets, build_score_vectors(stacked, f, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +260,7 @@ def test_score_vectors_worked_one_hot():
     matrices = build_contribution_matrices(d, shapley_metric())
     f = np.zeros(4)
     f[0b01] = 1.0
-    scores = build_score_vectors(matrices, f, leaf_weight=4.0)
+    scores = _score_dict(matrices, f, 4.0)
     # Entry (0b10, 0b01) is the mixed cube with share 1/2: 4 * 0.5 = 2.
     # Entry (0b11, 0b01) is the first feature alone with share 1: 4 * 1 = 4.
     np.testing.assert_allclose(scores[(0,)], [0.0, 0.0, 2.0, 4.0], atol=1e-12)
@@ -257,7 +271,7 @@ def test_score_vectors_zero_matrix_uniform_frequencies():
     d = map_patterns_to_cube((0,))
     matrices = build_contribution_matrices(d, shapley_metric())
     zeroed = {k: m._replace(values=m.values * 0.0) for k, m in matrices.items()}
-    scores = build_score_vectors(zeroed, np.full(2, 0.5), 3.0)
+    scores = _score_dict(zeroed, np.full(2, 0.5), 3.0)
     for v in scores.values():
         np.testing.assert_array_equal(v, np.zeros(2))
 
@@ -270,17 +284,44 @@ def test_score_vectors_match_dense_product():
             matrices = build_contribution_matrices(d, resolve_metric(metric_name))
             f = rng.dirichlet(np.ones(1 << length))
             w = float(rng.normal())
-            scores = build_score_vectors(matrices, f, w)
+            scores = _score_dict(matrices, f, w)
             for subset, m in matrices.items():
                 dense = w * (_dense(m) @ f)
                 np.testing.assert_allclose(scores[subset], dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stacked_score_vectors_equal_per_subset_bincounts(kind):
+    # One bincount over the stacked entries gives each subset's bins the
+    # same products in the same order as a bincount per subset: equal bytes.
+    rng = np.random.default_rng(35)
+    metric = resolve_metric(kind)
+    for u in range(7):
+        matrices = build_contribution_matrices(map_patterns_to_cube(tuple(range(u))), metric)
+        stacked = stack_subsets(matrices, 1 << u)
+        f = rng.dirichlet(np.ones(1 << u))
+        w = float(rng.normal())
+        scores = build_score_vectors(stacked, f, w)
+        assert scores.shape == (len(matrices), 1 << u)
+        assert matrices or u <= int(metric.pairwise)
+        assert stacked.subsets == tuple(matrices)
+        for row, m in zip(scores, matrices.values(), strict=True):
+            reference = w * np.bincount(m.rows, weights=m.values * f[m.cols],
+                                        minlength=m.size)
+            assert row.tobytes() == reference.tobytes()
+
+
+def test_stacking_matrices_of_another_size_rejected():
+    matrices = build_contribution_matrices(map_patterns_to_cube((0, 1)), shapley_metric())
+    with pytest.raises(DimensionError):
+        stack_subsets(matrices, 2)
 
 
 def test_score_vectors_dimension_mismatch():
     d = map_patterns_to_cube((0, 1))
     matrices = build_contribution_matrices(d, shapley_metric())
     with pytest.raises(DimensionError):
-        build_score_vectors(matrices, np.ones(2) / 2, 1.0)
+        build_score_vectors(stack_subsets(matrices, 4), np.ones(2) / 2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +333,7 @@ def test_gather_worked_example(two_split_tree, consumer_row, baseline_row):
     for lf in two_split_tree.leaf_indices():
         d = map_patterns_to_cube(two_split_tree.path_features(lf))
         matrices = build_contribution_matrices(d, shapley_metric())
-        score_vectors[lf] = build_score_vectors(
+        score_vectors[lf] = _score_dict(
             matrices, freqs[lf], two_split_tree.nodes[lf].leaf_weight)
     table = calc_decision_patterns(two_split_tree, consumer_row.reshape(1, -1))
     out = gather_attributions(score_vectors, table, num_features=2, pairwise=False)
@@ -321,8 +362,8 @@ def test_gather_matches_scalar_loop():
     for lf in tree.leaf_indices():
         d = map_patterns_to_cube(tree.path_features(lf))
         matrices = build_contribution_matrices(d, shapley_metric())
-        score_vectors[lf] = build_score_vectors(matrices, freqs[lf],
-                                                tree.nodes[lf].leaf_weight)
+        score_vectors[lf] = _score_dict(matrices, freqs[lf],
+                                        tree.nodes[lf].leaf_weight)
     table = calc_decision_patterns(tree, C)
     out = gather_attributions(score_vectors, table, 3, False)
     expected = np.zeros_like(out)
@@ -510,6 +551,44 @@ def test_nonpositive_block_size_rejected():
         woodelf(ens, random_data(rng, 3, 2), None, block_size=0)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_nonpositive_threads_rejected(threads):
+    rng = np.random.default_rng(32)
+    ens = random_ensemble(rng, 1, 2, max_depth=2)
+    with pytest.raises(ValueError, match="threads"):
+        woodelf(ens, random_data(rng, 3, 2), None, threads=threads)
+
+
+def test_gather_block_rows_follow_the_output_width():
+    assert [gather_block_rows(w) for w in (12, 66, 127)] == [8192, 4096, 4096]
+    assert gather_block_rows(8001) == 4096
+    assert gather_block_rows(1) == gather_block_rows(0) == 32768
+
+
+def test_default_row_blocks_match_explicit_ones():
+    # 12 output columns give 8,192-row blocks, so 9,000 rows take two.
+    rng = np.random.default_rng(36)
+    ens = random_ensemble(rng, 3, 12, max_depth=4)
+    C = random_data(rng, 9000, 12)
+    B = random_data(rng, 6, 12)
+    default = woodelf(ens, C, B, "shapley").values
+    for block_size in (4096, 7):
+        assert woodelf(ens, C, B, "shapley", block_size=block_size).values.tobytes() \
+            == default.tobytes()
+
+
+@pytest.mark.parametrize("apply, pairwise", [
+    (lambda cube: [((i,), v) for i, v in cube_shapley(cube)], True),
+    (cube_shapley_iv, False),
+])
+def test_subset_sizes_contradicting_the_pairwise_flag_rejected(apply, pairwise):
+    rng = np.random.default_rng(37)
+    ens = random_ensemble(rng, 1, 3, max_depth=3)
+    with pytest.raises(DimensionError, match="pairwise"):
+        woodelf(ens, random_data(rng, 4, 3), random_data(rng, 3, 3),
+                Metric(apply, pairwise=pairwise))
+
+
 def _per_leaf_reference(ens, C, B, kind) -> np.ndarray:
     """The pipeline without blocks: per leaf, a dictionary over the leaf's
     own path features and one score vector per subset, each gathered column
@@ -523,8 +602,8 @@ def _per_leaf_reference(ens, C, B, kind) -> np.ndarray:
         table = calc_decision_patterns(tree, C)
         for lf in tree.leaf_indices():
             d = map_patterns_to_cube(tree.path_features(lf))
-            scores = build_score_vectors(build_contribution_matrices(d, metric),
-                                         freqs[lf], tree.nodes[lf].leaf_weight)
+            scores = _score_dict(build_contribution_matrices(d, metric),
+                                 freqs[lf], tree.nodes[lf].leaf_weight)
             pats = table.patterns[lf]
             for subset, vec in scores.items():
                 col = subset[0] if len(subset) == 1 \

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from woodelf.cube_mapping import canonical_path, collapse_map
 from woodelf.errors import ModelSchemaError
@@ -8,13 +10,21 @@ from woodelf.patterns import (
     block_keys,
     calc_decision_patterns,
     decision_pattern_single,
+    leaf_key_map,
     leaf_key_patterns,
     pattern_dtype_for_depth,
     pattern_width_for_depth,
     subtree_blocks,
 )
 from woodelf.synth import random_ensemble, random_data
-from woodelf.tree_model import HARD_DEPTH_CAP, Tree, inner, leaf, predict_tree
+from woodelf.tree_model import (
+    DEFAULT_DEPTH_CAP,
+    HARD_DEPTH_CAP,
+    Tree,
+    inner,
+    leaf,
+    predict_tree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +236,30 @@ def test_root_leaf_tree_is_one_keyless_block():
     np.testing.assert_array_equal(keys[0], np.zeros(4, dtype=np.uint8))
 
 
-def test_blocks_at_the_depth_cap_keep_keys_within_it():
-    # A chain of splits down to a full height-2 subtree whose leaves sit at
-    # the depth cap: that subtree's key would need one bit more than the cap,
-    # so its root becomes a prefix over two sibling-pair blocks.
+def _depth_cap_tree(cap: int = HARD_DEPTH_CAP) -> Tree:
+    """A chain of splits down to a full height-2 subtree whose leaves sit at
+    depth ``cap``."""
     nodes: list = []
 
     def grow(d: int) -> int:
         slot = len(nodes)
         nodes.append(None)
-        if d == HARD_DEPTH_CAP:
+        if d == cap:
             nodes[slot] = leaf(float(slot))
-        elif d >= HARD_DEPTH_CAP - 2:
+        elif d >= cap - 2:
             nodes[slot] = inner(d % 3, 0.9, grow(d + 1), grow(d + 1))
         else:
-            nodes[slot] = inner(d % 3, 0.1 + 0.025 * d, grow(HARD_DEPTH_CAP), grow(d + 1))
+            nodes[slot] = inner(d % 3, 0.1 + 0.025 * d, grow(cap), grow(d + 1))
         return slot
 
     grow(0)
-    tree = Tree(tuple(nodes), 0)
+    return Tree(tuple(nodes), 0)
+
+
+def test_blocks_at_the_depth_cap_keep_keys_within_it():
+    # The bottom subtree's key would need one bit more than the cap, so its
+    # root becomes a prefix over two sibling-pair blocks.
+    tree = _depth_cap_tree()
     assert tree.depth() == HARD_DEPTH_CAP
     blocks = subtree_blocks(tree)
     assert blocks.dtype == np.uint32
@@ -265,3 +280,33 @@ def test_blocks_at_the_depth_cap_keep_keys_within_it():
             np.testing.assert_array_equal(
                 leaf_key_patterns(block, block_leaf, keys.patterns[b]),
                 table.patterns[block_leaf.leaf])
+
+
+def _assert_key_maps_match(tree: Tree, cache: dict) -> None:
+    for block in subtree_blocks(tree).blocks:
+        for block_leaf in block.leaves:
+            np.testing.assert_array_equal(leaf_key_map(block, block_leaf, cache),
+                                          leaf_key_patterns(block, block_leaf))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), features=st.integers(1, 4),
+       depth=st.integers(0, 7))
+def test_cached_key_maps_equal_leaf_key_patterns(seed, features, depth):
+    # Random trees are not full and repeat split features along paths; one
+    # cache serves several trees, as it does in a call.
+    rng = np.random.default_rng(seed)
+    cache: dict = {}
+    for tree in random_ensemble(rng, 3, features, depth).trees:
+        _assert_key_maps_match(tree, cache)
+
+
+def test_cached_key_maps_at_the_default_depth_cap():
+    # Maps cover every key of a block, 2^bits of them, so this uses the
+    # default cap; at the hard cap a block key takes 30 bits.
+    tree = _depth_cap_tree(DEFAULT_DEPTH_CAP)
+    assert tree.depth() == DEFAULT_DEPTH_CAP
+    cache: dict = {}
+    for _ in range(2):  # the second pass reads every map from the cache
+        _assert_key_maps_match(tree, cache)
+    assert cache
