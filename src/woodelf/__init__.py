@@ -21,6 +21,7 @@ from .engine import (
     resolve_metric,
     shapley_iv_metric,
     shapley_metric,
+    stack_subsets,
     woodelf,
 )
 from .errors import (
@@ -73,7 +74,8 @@ __all__ = [
     "gather_attributions", "load_data", "load_model", "pair_count",
     "pair_index", "path_dependent_frequencies", "predict", "predict_batch",
     "preprocess", "resolve_metric", "save_model", "shapley", "shapley_iv",
-    "shapley_iv_metric", "shapley_metric", "split", "wcnf_to_wdnf", "woodelf",
+    "shapley_iv_metric", "shapley_metric", "split", "stack_subsets",
+    "wcnf_to_wdnf", "woodelf",
     "DataError", "DimensionError", "FormError", "ModeError",
     "ModelSchemaError", "NodeKindError", "VerificationError", "WoodelfError",
 ]

@@ -65,7 +65,8 @@ class Metric:
     """A per-cube attribution rule.
 
     ``apply`` maps a cube to (feature subset, value) pairs, with subsets of
-    size one or two, and must be linear in the cube weight. Subsets reference
+    size one or two, and must be linear in the cube weight. A pair is
+    unordered: (a, b) and (b, a) name one subset. Subsets reference
     the variable ids used inside the cube: the pipeline's cubes speak in a
     path's unique-feature ordinals, renamed to feature ids afterwards.
     """
@@ -194,7 +195,7 @@ def build_contribution_matrices(dictionary: CubeDictionary,
     subset's matrix has at most 3^depth entries in a 2^depth-square shape;
     no dense matrix is built. Leaf weights are deliberately not applied here,
     keeping the matrices shareable across all leaves with as many unique path
-    features.
+    features. Pairs are keyed (min, max), whichever order ``metric`` gives.
     """
     if not dictionary.path_features:
         return {}
@@ -202,6 +203,8 @@ def build_contribution_matrices(dictionary: CubeDictionary,
     triplets: dict[tuple[int, ...], tuple[list, list, list]] = {}
     for (pc, pb), cube in dictionary.entries.items():
         for subset, value in metric.apply(cube):
+            if len(subset) == 2 and subset[0] > subset[1]:
+                subset = (subset[1], subset[0])
             rows, cols, vals = triplets.setdefault(subset, ([], [], []))
             rows.append(pc)
             cols.append(pb)
@@ -268,18 +271,13 @@ def build_score_vectors(stacked: StackedEntries, frequencies: np.ndarray,
 # table is indexed by that key's values: a leaf's patterns, or a block's keys.
 Tables = list[tuple[int, dict[int, np.ndarray]]]
 
-# Output bytes a gather row block aims for, and its largest row count: key
-# buffers grow with rows times inner nodes, whatever the width.
-GATHER_BLOCK_BYTES = 768 * 1024
-MAX_GATHER_ROWS = 8 * DEFAULT_BLOCK_SIZE
-
-
 def gather_block_rows(width: int) -> int:
     """Default gather row block for an output ``width`` columns wide: the
-    rows whose float64 values fill ``GATHER_BLOCK_BYTES``, at least
-    ``DEFAULT_BLOCK_SIZE`` and at most ``MAX_GATHER_ROWS``."""
-    rows = GATHER_BLOCK_BYTES // (8 * max(width, 1))
-    return min(MAX_GATHER_ROWS, max(DEFAULT_BLOCK_SIZE, rows))
+    rows whose float64 values fill 768 KiB, from ``DEFAULT_BLOCK_SIZE`` to
+    twice that. On 12-column background Shapley, 16,384- and 32,768-row
+    blocks were no faster than 8,192 and took 3-6 MB more memory."""
+    rows = 768 * 1024 // (8 * max(width, 1))
+    return min(2 * DEFAULT_BLOCK_SIZE, max(DEFAULT_BLOCK_SIZE, rows))
 
 
 def _subset_ordinals(subsets: Sequence[tuple[int, ...]], pairwise: bool) -> np.ndarray:
@@ -289,17 +287,21 @@ def _subset_ordinals(subsets: Sequence[tuple[int, ...]], pairwise: bool) -> np.n
         raise DimensionError(
             "metric returned a subset size that contradicts its pairwise flag"
         )
-    return np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
+    ordinals = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
+    if pairwise and np.any(ordinals[:, 0] == ordinals[:, 1]):
+        raise ValueError("interaction pairs must have distinct variables")
+    return ordinals
 
 
 def _subset_columns(ordinals: np.ndarray, rename: tuple[int, ...],
                     num_features: int) -> list[int]:
     """Output column of each subset once its ordinals are renamed to feature
-    ids; pairs use the packed upper-triangular layout."""
+    ids; pairs use ``pair_index``'s packed upper-triangular layout."""
     features = np.array(rename, dtype=np.intp)[ordinals]
     if ordinals.shape[1] == 1:
         return features[:, 0].tolist()
-    return pair_index(features.min(axis=1), features.max(axis=1), num_features).tolist()
+    i, j = features.min(axis=1), features.max(axis=1)
+    return (i * num_features - i * (i + 1) // 2 + (j - i - 1)).tolist()
 
 
 def _gather_into(acc: np.ndarray, tables: Tables,
@@ -325,12 +327,15 @@ def gather_attributions(score_vectors: Mapping[int, Mapping[tuple[int, ...], np.
     """
     width = pair_count(num_features) if pairwise else num_features
     features = tuple(range(num_features))
-    tables = [
-        (lf, dict(zip(_subset_columns(_subset_ordinals(tuple(per_subset), pairwise),
-                                      features, num_features),
-                      per_subset.values())))
-        for lf, per_subset in score_vectors.items()
-    ]
+    tables: Tables = []
+    for lf, per_subset in score_vectors.items():
+        # (a, b) and (b, a) are one pair: their vectors add into one column.
+        columns: dict[int, np.ndarray] = {}
+        for col, vec in zip(_subset_columns(_subset_ordinals(tuple(per_subset), pairwise),
+                                            features, num_features),
+                            per_subset.values()):
+            columns[col] = columns[col] + vec if col in columns else vec
+        tables.append((lf, columns))
     acc = np.zeros((width, consumer_patterns.num_rows)) if out is None \
         else np.ascontiguousarray(out.T)
     _gather_into(acc, tables, consumer_patterns.patterns)
@@ -403,7 +408,7 @@ def woodelf(ensemble: TreeEnsemble,
     key has a bit per ancestor and per inner node of the block. The gather
     then splits the rows evenly over ``threads`` and walks each slice in row
     blocks of ``block_size`` rows (default ``gather_block_rows(width)``:
-    8,192 rows at 12 output columns, 4,096 from 24 on), so besides the
+    8,192 rows up to 12 output columns, 4,096 from 24 on), so besides the
     tables it holds, per thread, ``width * block_size`` floats and one key
     buffer (a split outcome per inner node and one key per block and prefix,
     for each row of the block), whatever the row count. Results are
@@ -485,7 +490,7 @@ def woodelf(ensemble: TreeEnsemble,
                 scores = build_score_vectors(stacked, f,
                                              tree.nodes[block_leaf.leaf].leaf_weight)
                 folds.append(([positions.setdefault(col, len(positions))
-                               for col in subset_columns], scores[:, index]))
+                               for col in subset_columns], scores, index))
                 t3 = time.perf_counter()
                 timings["matrices"] += t2 - t1
                 timings["scores"] += t3 - t2
@@ -493,8 +498,9 @@ def woodelf(ensemble: TreeEnsemble,
             # Zero-filled, so the gather's accumulator (never -0.0) reads the
             # same sums as from tables started at a leaf's first values.
             table = np.zeros((len(positions), 1 << block.bits))
-            for rows, values in folds:
-                table[rows] += values
+            # Subsets are distinct and the rename injective, so no row repeats.
+            for rows, scores, index in folds:
+                table[rows] += scores[:, index]
             tables.append((b, dict(zip(positions, table))))
             timings["scores"] += time.perf_counter() - t1
         plan.append((tree, blocks, tables))

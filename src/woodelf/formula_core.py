@@ -257,16 +257,11 @@ def pair_count(num_vars: int) -> int:
     return num_vars * (num_vars - 1) // 2
 
 
-def pair_index(i, j, num_vars: int):
-    """Position of unordered pair (i, j) in the packed upper-triangular layout.
-
-    Also elementwise, over integer arrays of pairs given as (min, max)."""
-    if np.ndim(i) or np.ndim(j):
-        if np.any(np.asarray(i) >= j):
-            raise ValueError("array pairs must be (min, max) of distinct variables")
-    elif i == j:
+def pair_index(i: int, j: int, num_vars: int) -> int:
+    """Position of unordered pair (i, j) in the packed upper-triangular layout."""
+    if i == j:
         raise ValueError("interaction pairs must have distinct variables")
-    elif i > j:
+    if i > j:
         i, j = j, i
     return i * num_vars - i * (i + 1) // 2 + (j - i - 1)
 

@@ -41,6 +41,7 @@ from woodelf.oracle import (
     tree_characteristic,
 )
 from woodelf.patterns import (
+    LeafPatternTable,
     calc_decision_patterns,
     decision_pattern_single,
     leaf_key_patterns,
@@ -562,7 +563,7 @@ def test_nonpositive_threads_rejected(threads):
 def test_gather_block_rows_follow_the_output_width():
     assert [gather_block_rows(w) for w in (12, 66, 127)] == [8192, 4096, 4096]
     assert gather_block_rows(8001) == 4096
-    assert gather_block_rows(1) == gather_block_rows(0) == 32768
+    assert gather_block_rows(1) == gather_block_rows(0) == 8192
 
 
 def test_default_row_blocks_match_explicit_ones():
@@ -587,6 +588,47 @@ def test_subset_sizes_contradicting_the_pairwise_flag_rejected(apply, pairwise):
     with pytest.raises(DimensionError, match="pairwise"):
         woodelf(ens, random_data(rng, 4, 3), random_data(rng, 3, 3),
                 Metric(apply, pairwise=pairwise))
+
+
+@pytest.mark.parametrize("kind", [MetricKind.SHAPLEY_IV, MetricKind.BANZHAF_IV])
+def test_pairs_in_either_order_are_one_subset(kind):
+    # Reverse some of a pairwise metric's pairs: the cubes with an odd number
+    # of positive variables give (max, min), the others (min, max), so one
+    # pair comes in both orders. Its contributions must add up as one subset.
+    sorted_metric = resolve_metric(kind)
+
+    def apply(cube):
+        flip = len(cube.positive) % 2
+        return [((pair[::-1] if flip else pair), value)
+                for pair, value in sorted_metric.apply(cube)]
+
+    mixed = Metric(apply, pairwise=True)
+    d = map_patterns_to_cube((0, 1, 2))
+    assert set(build_contribution_matrices(d, mixed)) \
+        == set(build_contribution_matrices(d, sorted_metric))
+    rng = np.random.default_rng(38)
+    ens = random_ensemble(rng, 3, 4, max_depth=4)
+    C = random_data(rng, 40, 4)
+    for background in (random_data(rng, 7, 4), None):
+        assert woodelf(ens, C, background, mixed).values.tobytes() \
+            == woodelf(ens, C, background, kind).values.tobytes()
+
+
+def test_gather_adds_a_pair_given_in_both_orders():
+    table = LeafPatternTable({0: np.array([0, 1])}, {0: 1}, 2)
+    v, w = np.array([1.0, 2.0]), np.array([0.5, 4.0])
+    both = gather_attributions({0: {(0, 1): v, (1, 0): w}}, table, 3, True)
+    np.testing.assert_array_equal(both[:, pair_index(0, 1, 3)], v + w)
+    np.testing.assert_array_equal(both[:, 1:], 0.0)
+
+
+def test_pair_of_one_variable_rejected():
+    doubled = Metric(lambda cube: [((0, 0), cube.weight)] if cube.size else [],
+                     pairwise=True)
+    rng = np.random.default_rng(39)
+    ens = random_ensemble(rng, 1, 3, max_depth=3)
+    with pytest.raises(ValueError, match="distinct"):
+        woodelf(ens, random_data(rng, 4, 3), random_data(rng, 3, 3), doubled)
 
 
 def _per_leaf_reference(ens, C, B, kind) -> np.ndarray:
