@@ -16,7 +16,6 @@ from .engine import (
     baseline_attributions,
     build_contribution_matrices,
     build_score_vectors,
-    gather_attributions,
     path_dependent_frequencies,
     resolve_metric,
     shapley_iv_metric,
@@ -71,9 +70,9 @@ __all__ = [
     "WeightedFormula", "background_frequencies", "banzhaf", "banzhaf_iv",
     "banzhaf_iv_metric", "banzhaf_metric", "baseline_attributions",
     "build_contribution_matrices", "build_score_vectors", "evaluate",
-    "gather_attributions", "load_data", "load_model", "pair_count",
-    "pair_index", "path_dependent_frequencies", "predict", "predict_batch",
-    "preprocess", "resolve_metric", "save_model", "shapley", "shapley_iv",
+    "load_data", "load_model", "pair_count", "pair_index",
+    "path_dependent_frequencies", "predict", "predict_batch", "preprocess",
+    "resolve_metric", "save_model", "shapley", "shapley_iv",
     "shapley_iv_metric", "shapley_metric", "split", "stack_subsets",
     "wcnf_to_wdnf", "woodelf",
     "DataError", "DimensionError", "FormError", "ModeError",

@@ -1,4 +1,4 @@
-"""Command-line front end: compute attributions, benchmark, self-verify.
+"""Command-line front end: compute attributions and self-verify.
 
 Exit codes: 0 success, 2 configuration or mode problems, 3 model schema
 problems, 4 data problems (including dimension mismatches), 5 verification
@@ -14,13 +14,11 @@ import io
 import itertools
 import json
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_mapping import map_patterns_to_cube
-from .engine import baseline_attributions, resolve_metric, woodelf
+from .engine import baseline_attributions, woodelf
 from .errors import (
     DataError,
     DimensionError,
@@ -31,6 +29,7 @@ from .errors import (
     WoodelfError,
 )
 from .formula_core import (
+    FORMULA_METRICS,
     Cube,
     Form,
     MetricKind,
@@ -48,7 +47,6 @@ from .tree_model import (
     load_data,
     load_model,
     model_from_dict,
-    predict_batch,
     validate_ensemble,
 )
 
@@ -63,23 +61,6 @@ REFERENCE_TOLERANCE = 1e-5    # comparisons against externally produced values
 
 _METRIC_NAMES = [k.value for k in MetricKind]
 _MODES = ["background", "path-dependent", "baseline"]
-
-
-@dataclass
-class RunConfig:
-    """Everything one compute run needs; built from parsed CLI flags."""
-
-    model_path: str
-    model_format: str
-    consumers_path: str
-    background_path: str | None
-    metric: MetricKind
-    mode: str
-    out_path: str
-    threads: int
-    depth_cap: int
-    verify: int
-    baseline_row: str | None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,16 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", type=int, default=0, metavar="N",
                    help="cross-check N sampled rows against the exact oracle")
     p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("bench", help="time pipeline stages on synthetic inputs")
-    p.add_argument("--trees", type=int, default=20)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--features", type=int, default=12)
-    p.add_argument("--n", type=int, default=20000, help="consumer rows")
-    p.add_argument("--m", type=int, default=20000, help="background rows")
-    p.add_argument("--metric", default="shapley", choices=_METRIC_NAMES)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("selftest", help="run the built-in golden/oracle suite")
     p.add_argument("--reference",
@@ -167,58 +138,44 @@ def _fail(exc: Exception, code: int) -> int:
 # compute
 
 def cmd_compute(args) -> int:
-    config = RunConfig(
-        model_path=args.model,
-        model_format=args.format,
-        consumers_path=args.consumers,
-        background_path=args.background,
-        metric=MetricKind(args.metric),
-        mode=args.mode or ("background" if args.background else "path-dependent"),
-        out_path=args.out,
-        threads=args.threads,
-        depth_cap=args.depth_cap,
-        verify=args.verify,
-        baseline_row=args.baseline_row,
-    )
+    metric = MetricKind(args.metric)
+    mode = args.mode or ("background" if args.background else "path-dependent")
     try:
-        ensemble = load_model(config.model_path, config.model_format,
-                              depth_cap=config.depth_cap)
+        ensemble = load_model(args.model, args.format, depth_cap=args.depth_cap)
     except OSError as exc:
-        raise ModelSchemaError(f"cannot read model {config.model_path}: {exc}") from exc
-    consumers = _read_csv(config.consumers_path, ensemble.feature_names)
+        raise ModelSchemaError(f"cannot read model {args.model}: {exc}") from exc
+    consumers = _read_csv(args.consumers, ensemble.feature_names)
 
     background = None
-    if config.background_path is not None:
-        background = _read_csv(config.background_path, ensemble.feature_names)
+    if args.background is not None:
+        background = _read_csv(args.background, ensemble.feature_names)
 
-    if config.mode == "background":
+    if mode == "background":
         if background is None or background.num_rows == 0:
             raise ModeError("background mode requires a non-empty --background CSV")
-        result = woodelf(ensemble, consumers, background, config.metric,
-                         threads=config.threads)
+        result = woodelf(ensemble, consumers, background, metric, threads=args.threads)
         baseline = None
-    elif config.mode == "baseline":
-        baseline = _resolve_baseline(config, ensemble, consumers, background)
-        result = baseline_attributions(ensemble, consumers, baseline,
-                                       config.metric, threads=config.threads)
+    elif mode == "baseline":
+        baseline = _resolve_baseline(args.baseline_row, ensemble, consumers, background)
+        result = baseline_attributions(ensemble, consumers, baseline, metric,
+                                       threads=args.threads)
     else:
         if not ensemble.has_covers():
             raise ModeError(
                 "path-dependent mode requires node covers in the model dump; "
                 "provide --background or a model with cover fields"
             )
-        result = woodelf(ensemble, consumers, None, config.metric,
-                         threads=config.threads)
+        result = woodelf(ensemble, consumers, None, metric, threads=args.threads)
 
-    _write_result(config.out_path, result, ensemble.feature_names)
-    print(f"wrote {consumers.num_rows} rows to {config.out_path}")
+    _write_result(args.out, result, ensemble.feature_names)
+    print(f"wrote {consumers.num_rows} rows to {args.out}")
 
-    if config.verify > 0:
-        bg_for_oracle = baseline.reshape(1, -1) if config.mode == "baseline" \
+    if args.verify > 0:
+        bg_for_oracle = baseline.reshape(1, -1) if mode == "baseline" \
             else (background.values if background is not None else None)
         dev, checked = _oracle_deviation(
-            ensemble, consumers.values, bg_for_oracle, config.mode,
-            config.metric, result.values, config.verify)
+            ensemble, consumers.values, bg_for_oracle, mode, metric,
+            result.values, args.verify)
         print(f"verify: max abs deviation {dev:.3e} vs oracle over "
               f"{checked} rows (tolerance {ORACLE_TOLERANCE:g})")
         if dev > ORACLE_TOLERANCE:
@@ -234,10 +191,9 @@ def _read_csv(path: str, feature_names) -> DataMatrix:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
 
 
-def _resolve_baseline(config: RunConfig, ensemble: TreeEnsemble,
+def _resolve_baseline(spec: str | None, ensemble: TreeEnsemble,
                       consumers: DataMatrix,
                       background: DataMatrix | None) -> np.ndarray:
-    spec = config.baseline_row
     if spec is None:
         raise ModeError("baseline mode requires --baseline-row")
     try:
@@ -271,8 +227,7 @@ def _oracle_deviation(ensemble, consumers: np.ndarray, background,
             cf = oracle.tree_characteristic(ensemble, consumers[r], background)
         else:
             cf = oracle.ensemble_pd_characteristic(ensemble, consumers[r])
-        expected = oracle.exact_attribution(cf, kind)
-        reference = expected.singles if expected.singles is not None else expected.pairs
+        reference = oracle.exact_attribution(cf, kind).values
         if reference.size:
             worst = max(worst, float(np.max(np.abs(values[r] - reference))))
     return worst, len(rows)
@@ -338,82 +293,25 @@ def _write_json(path: str, result, names) -> None:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-def cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    ensemble = random_ensemble(rng, args.trees, args.features, args.depth,
-                               with_covers=True, full=True)
-    kind = MetricKind(args.metric)
-
-    def run(n: int, m: int) -> dict[str, float]:
-        C = random_data(rng, n, args.features)
-        B = random_data(rng, m, args.features)
-        t0 = time.perf_counter()
-        result = woodelf(ensemble, C, B, kind)
-        total = time.perf_counter() - t0
-        t = dict(result.timings)
-        t["total"] = total
-        return t
-
-    grid = [
-        ("base", args.n, args.m),
-        ("2x consumers", 2 * args.n, args.m),
-        ("2x background", args.n, 2 * args.m),
-    ]
-    print(f"model: {args.trees} trees, depth {args.depth}, "
-          f"{args.features} features; metric {kind.value}")
-    print(f"{'case':<14} {'n':>8} {'m':>8} {'freqs':>9} {'matrices':>9} "
-          f"{'scores':>9} {'gather':>9} {'total':>9}")
-    results = {}
-    for label, n, m in grid:
-        t = run(n, m)
-        results[label] = t
-        print(f"{label:<14} {n:>8} {m:>8} "
-              f"{t['frequencies']:>9.4f} {t['matrices']:>9.4f} "
-              f"{t['scores']:>9.4f} {t['gather']:>9.4f} {t['total']:>9.4f}")
-
-    flags = []
-    gather_ratio = results["2x consumers"]["gather"] / max(results["base"]["gather"], 1e-9)
-    freq_ratio = results["2x background"]["frequencies"] / max(results["base"]["frequencies"], 1e-9)
-    print(f"gather time ratio for 2x consumers: {gather_ratio:.2f} (limit 3.0)")
-    print(f"frequency time ratio for 2x background: {freq_ratio:.2f} (limit 3.0)")
-    if gather_ratio > 3.0:
-        flags.append("gather stage grows super-linearly in consumer rows")
-    if freq_ratio > 3.0:
-        flags.append("frequency stage grows super-linearly in background rows")
-
-    sizes = [len(map_patterns_to_cube(tuple(range(d))).entries)
-             for d in range(1, min(args.depth, 8) + 1)]
-    ratios = [sizes[i + 1] / sizes[i] for i in range(len(sizes) - 1)]
-    print("dictionary entries by path length:", sizes,
-          "growth ratios:", [f"{r:.2f}" for r in ratios])
-
-    for flag in flags:
-        print(f"FLAG: {flag}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # selftest
 
-def _golden_formula() -> WeightedFormula:
-    return WeightedFormula.wdnf([
-        Cube((), (0,), 3.0),
-        Cube((0,), (2,), 5.0),
-        Cube((1, 2), (0,), 2.0),
-    ], num_vars=3)
-
-
-def _golden_equivalent() -> WeightedFormula:
-    # A different cube list computing the same function everywhere.
-    return WeightedFormula.wdnf([
-        Cube((0,), (), 5.0),
-        Cube((2,), (), -5.0),
-        Cube((), (0, 2), 3.0),
-        Cube((2,), (0,), 10.0),
-        Cube((2,), (0, 1), -2.0),
-    ], num_vars=3)
+# The golden formula 3(~x0) + 5(x0 & ~x2) + 2(x1 & x2 & ~x0), its
+# hand-checked Shapley and Banzhaf values, and a different cube list that
+# computes the same function on every assignment.
+GOLDEN_FORMULA = WeightedFormula.wdnf([
+    Cube((), (0,), 3.0),
+    Cube((0,), (2,), 5.0),
+    Cube((1, 2), (0,), 2.0),
+], num_vars=3)
+GOLDEN_SHAPLEY = np.array([-7.0 / 6.0, 1.0 / 3.0, -13.0 / 6.0])
+GOLDEN_BANZHAF = np.array([-1.0, 0.5, -2.0])
+GOLDEN_EQUIVALENT = WeightedFormula.wdnf([
+    Cube((0,), (), 5.0),
+    Cube((2,), (), -5.0),
+    Cube((), (0, 2), 3.0),
+    Cube((2,), (0,), 10.0),
+    Cube((2,), (0, 1), -2.0),
+], num_vars=3)
 
 
 @dataclass
@@ -429,18 +327,16 @@ class Check:
 
 
 def _golden_checks() -> list[Check]:
-    f = _golden_formula()
+    f = GOLDEN_FORMULA
     phi = shapley(f).singles
     beta = banzhaf(f).singles
-    expected_phi = np.array([-7.0 / 6.0, 1.0 / 3.0, -13.0 / 6.0])
-    expected_beta = np.array([-1.0, 0.5, -2.0])
     span = evaluate(f, [1, 1, 1]) - evaluate(f, [0, 0, 0])
     checks = [
-        Check("golden shapley values", float(np.max(np.abs(phi - expected_phi))), 1e-12),
-        Check("golden banzhaf values", float(np.max(np.abs(beta - expected_beta))), 1e-12),
+        Check("golden shapley values", float(np.max(np.abs(phi - GOLDEN_SHAPLEY))), 1e-12),
+        Check("golden banzhaf values", float(np.max(np.abs(beta - GOLDEN_BANZHAF))), 1e-12),
         Check("shapley efficiency (sum = span)", abs(float(phi.sum()) - span), 1e-12),
     ]
-    g = _golden_equivalent()
+    g = GOLDEN_EQUIVALENT
     checks.append(Check(
         "robustness: equivalent formula, same shapley",
         float(np.max(np.abs(shapley(g).singles - phi))), 1e-12))
@@ -462,21 +358,12 @@ def _formula_oracle_check(count: int, seed: int = 11) -> Check:
         f = random_formula(rng, num_vars=int(rng.integers(1, 11)),
                            max_cubes=12, form=form)
         cf = oracle.formula_characteristic(f)
-        for kind in MetricKind:
-            fast = _fast_formula_metric(f, kind)
-            exact = oracle.exact_attribution(cf, kind)
-            ref = exact.singles if exact.singles is not None else exact.pairs
+        for kind, fast_metric in FORMULA_METRICS.items():
+            fast = fast_metric(f).values
+            ref = oracle.exact_attribution(cf, kind).values
             if ref.size:
                 worst = max(worst, float(np.max(np.abs(fast - ref))))
     return Check(f"{count} random formulas vs exact oracles", worst, ORACLE_TOLERANCE)
-
-
-def _fast_formula_metric(f: WeightedFormula, kind: MetricKind) -> np.ndarray:
-    from .formula_core import banzhaf_iv, shapley_iv
-    fn = {MetricKind.SHAPLEY: shapley, MetricKind.BANZHAF: banzhaf,
-          MetricKind.SHAPLEY_IV: shapley_iv, MetricKind.BANZHAF_IV: banzhaf_iv}[kind]
-    result = fn(f)
-    return result.singles if result.singles is not None else result.pairs
 
 
 def _pipeline_oracle_check(count: int, seed: int = 23) -> list[Check]:
@@ -497,12 +384,10 @@ def _pipeline_oracle_check(count: int, seed: int = 23) -> list[Check]:
                 worst_chain = max(worst_chain, float(
                     np.max(np.abs(got_bg - mean_of_baselines))))
             for r in range(C.shape[0]):
-                e_bg = oracle.exact_attribution(
-                    oracle.tree_characteristic(ens, C[r], B), kind)
-                e_pd = oracle.exact_attribution(
-                    oracle.ensemble_pd_characteristic(ens, C[r]), kind)
-                ref_bg = e_bg.singles if e_bg.singles is not None else e_bg.pairs
-                ref_pd = e_pd.singles if e_pd.singles is not None else e_pd.pairs
+                ref_bg = oracle.exact_attribution(
+                    oracle.tree_characteristic(ens, C[r], B), kind).values
+                ref_pd = oracle.exact_attribution(
+                    oracle.ensemble_pd_characteristic(ens, C[r]), kind).values
                 if ref_bg.size:
                     worst_bg = max(worst_bg, float(np.max(np.abs(got_bg[r] - ref_bg))))
                     worst_pd = max(worst_pd, float(np.max(np.abs(got_pd[r] - ref_pd))))

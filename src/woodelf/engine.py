@@ -1,5 +1,5 @@
 """The attribution pipeline: frequencies, contribution matrices, score vectors,
-and batched gathers, generic over any per-cube metric that is linear in the
+and a batched gather, generic over any per-cube metric that is linear in the
 cube weight.
 
 Per tree: (1) baseline frequencies, from a background dataset or from node
@@ -51,7 +51,6 @@ from .formula_core import (
 )
 from .patterns import (
     DEFAULT_BLOCK_SIZE,
-    LeafPatternTable,
     SubtreeBlocks,
     calc_decision_patterns,
     leaf_key_map,
@@ -265,10 +264,10 @@ def build_score_vectors(stacked: StackedEntries, frequencies: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Stage 4: gathers
+# Stage 4: the gather
 
-# Gather tables: (key id, {output column: score table}) in a fixed order. A
-# table is indexed by that key's values: a leaf's patterns, or a block's keys.
+# Gather tables: (block, {output column: score table}) in a fixed order. A
+# table is indexed by the block's keys.
 Tables = list[tuple[int, dict[int, np.ndarray]]]
 
 def gather_block_rows(width: int) -> int:
@@ -304,45 +303,13 @@ def _subset_columns(ordinals: np.ndarray, rename: tuple[int, ...],
     return (i * num_features - i * (i + 1) // 2 + (j - i - 1)).tolist()
 
 
-def _gather_into(acc: np.ndarray, tables: Tables,
-                 patterns: Mapping[int, np.ndarray] | Sequence[np.ndarray]) -> None:
-    """Add every table, indexed by its key's values, into the feature-major
+def _gather_into(acc: np.ndarray, tables: Tables, keys: Mapping[int, np.ndarray]) -> None:
+    """Add every table, indexed by its block's keys, into the feature-major
     accumulator ``acc`` (columns x rows), in table order."""
-    for lf, columns in tables:
-        pats = patterns[lf].astype(np.intp)
+    for b, columns in tables:
+        index = keys[b].astype(np.intp)
         for col, vec in columns.items():
-            acc[col] += vec[pats]
-
-
-def gather_attributions(score_vectors: Mapping[int, Mapping[tuple[int, ...], np.ndarray]],
-                        consumer_patterns: LeafPatternTable,
-                        num_features: int,
-                        pairwise: bool,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """Accumulate per-row values: every leaf's score vectors indexed by that
-    leaf's consumer patterns, summed feature-subset-wise.
-
-    Subsets here are actual feature ids; pairs land in the packed
-    upper-triangular column layout. Values are added to ``out`` if given.
-    """
-    width = pair_count(num_features) if pairwise else num_features
-    features = tuple(range(num_features))
-    tables: Tables = []
-    for lf, per_subset in score_vectors.items():
-        # (a, b) and (b, a) are one pair: their vectors add into one column.
-        columns: dict[int, np.ndarray] = {}
-        for col, vec in zip(_subset_columns(_subset_ordinals(tuple(per_subset), pairwise),
-                                            features, num_features),
-                            per_subset.values()):
-            columns[col] = columns[col] + vec if col in columns else vec
-        tables.append((lf, columns))
-    acc = np.zeros((width, consumer_patterns.num_rows)) if out is None \
-        else np.ascontiguousarray(out.T)
-    _gather_into(acc, tables, consumer_patterns.patterns)
-    if out is None:
-        return np.ascontiguousarray(acc.T)
-    out[...] = acc.T
-    return out
+            acc[col] += vec[index]
 
 
 def _gather_rows(plan: Sequence[tuple[Tree, SubtreeBlocks, Tables]],

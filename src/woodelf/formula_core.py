@@ -280,6 +280,11 @@ class AttributionResult:
     singles: np.ndarray | None = None
     pairs: np.ndarray | None = None
 
+    @property
+    def values(self) -> np.ndarray:
+        """``singles`` for a single-variable metric, else ``pairs``."""
+        return self.singles if self.singles is not None else self.pairs
+
     def single(self, i: int) -> float:
         return float(self.singles[i])
 
@@ -361,6 +366,15 @@ def banzhaf_iv(formula: WeightedFormula) -> AttributionResult:
         for (i, j), v in cube_banzhaf_iv(cube):
             pairs[pair_index(i, j, h)] += sign * v
     return AttributionResult(MetricKind.BANZHAF_IV, h, pairs=pairs)
+
+
+# The formula attribution of each metric kind.
+FORMULA_METRICS = {
+    MetricKind.SHAPLEY: shapley,
+    MetricKind.BANZHAF: banzhaf,
+    MetricKind.SHAPLEY_IV: shapley_iv,
+    MetricKind.BANZHAF_IV: banzhaf_iv,
+}
 
 
 def wcnf_to_wdnf(formula: WeightedFormula) -> WeightedFormula:

@@ -24,7 +24,7 @@ from .formula_core import (
     pair_count,
     pair_index,
 )
-from .tree_model import Tree, TreeEnsemble, as_matrix, predict_batch, predict_tree
+from .tree_model import Tree, TreeEnsemble, as_matrix, predict_batch
 
 PLAYER_CAP = 20
 

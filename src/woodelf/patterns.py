@@ -55,22 +55,6 @@ def pattern_dtype_for_depth(depth: int) -> np.dtype:
 
 
 @dataclass(frozen=True)
-class DecisionPattern:
-    """One packed agreement bit-sequence: ``length`` bits stored in ``bits``."""
-
-    bits: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.length if self.length else 1):
-            raise ValueError(f"bits {self.bits} do not fit in {self.length} bits")
-
-    def bit(self, i: int) -> int:
-        """Agreement bit of path position i (0 = root's edge)."""
-        return self.bits >> (self.length - 1 - i) & 1
-
-
-@dataclass(frozen=True)
 class LeafPatternTable:
     """Per-leaf pattern vectors, one entry per data row.
 
@@ -139,23 +123,6 @@ def calc_decision_patterns(tree: Tree, data,
                 live[node.right] = left ^ one
 
     return LeafPatternTable(out, {i: lengths[i] for i in leaf_order}, n)
-
-
-def decision_pattern_single(tree: Tree, leaf_index: int, row) -> DecisionPattern:
-    """Pattern of one row at one leaf by walking the path directly.
-
-    Reference implementation of the per-position definition; the batch
-    routine is checked against it in the tests.
-    """
-    path = tree.path_to(leaf_index)
-    bits = 0
-    for position in range(len(path) - 1):
-        node = tree.nodes[path[position]]
-        goes_left = row[node.feature] < node.threshold
-        on_path = (node.left == path[position + 1] and goes_left) or \
-                  (node.right == path[position + 1] and not goes_left)
-        bits = (bits << 1) | int(on_path)
-    return DecisionPattern(bits, len(path) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from woodelf.formula_core import Cube, WeightedFormula
+from woodelf.cli import (  # noqa: F401 (the value arrays are re-exported)
+    GOLDEN_BANZHAF,
+    GOLDEN_EQUIVALENT,
+    GOLDEN_FORMULA,
+    GOLDEN_SHAPLEY,
+)
 from woodelf.oracle import CharacteristicFunction
 from woodelf.tree_model import Tree, TreeEnsemble, inner, leaf
 
@@ -9,28 +16,14 @@ from woodelf.tree_model import Tree, TreeEnsemble, inner, leaf
 @pytest.fixture
 def golden_formula():
     """3(~x0) + 5(x0 & ~x2) + 2(x1 & x2 & ~x0); known values in the tests."""
-    return WeightedFormula.wdnf([
-        Cube((), (0,), 3.0),
-        Cube((0,), (2,), 5.0),
-        Cube((1, 2), (0,), 2.0),
-    ], num_vars=3)
+    return GOLDEN_FORMULA
 
 
 @pytest.fixture
 def equivalent_formula():
     """A different cube list computing exactly the same function as
     golden_formula on every assignment."""
-    return WeightedFormula.wdnf([
-        Cube((0,), (), 5.0),
-        Cube((2,), (), -5.0),
-        Cube((), (0, 2), 3.0),
-        Cube((2,), (0,), 10.0),
-        Cube((2,), (0, 1), -2.0),
-    ], num_vars=3)
-
-
-GOLDEN_SHAPLEY = np.array([-7.0 / 6.0, 1.0 / 3.0, -13.0 / 6.0])
-GOLDEN_BANZHAF = np.array([-1.0, 0.5, -2.0])
+    return GOLDEN_EQUIVALENT
 
 
 @pytest.fixture
@@ -95,3 +88,38 @@ def cf_from_table(table: np.ndarray, num_players: int) -> CharacteristicFunction
         return float(table[mask])
 
     return CharacteristicFunction(evaluator, num_players)
+
+
+# ---------------------------------------------------------------------------
+# Per-row decision patterns: the definition the batch routines are checked
+# against.
+
+@dataclass(frozen=True)
+class DecisionPattern:
+    """One packed agreement bit-sequence: ``length`` bits stored in ``bits``."""
+
+    bits: int
+    length: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.bits < (1 << self.length if self.length else 1):
+            raise ValueError(f"bits {self.bits} do not fit in {self.length} bits")
+
+    def bit(self, i: int) -> int:
+        """Agreement bit of path position i (0 = root's edge)."""
+        return self.bits >> (self.length - 1 - i) & 1
+
+
+def decision_pattern_single(tree: Tree, leaf_index: int, row) -> DecisionPattern:
+    """Pattern of one row at one leaf by walking the path directly: bit i,
+    most significant first, says whether the row follows the path's edge out
+    of its i-th node."""
+    path = tree.path_to(leaf_index)
+    bits = 0
+    for position in range(len(path) - 1):
+        node = tree.nodes[path[position]]
+        goes_left = row[node.feature] < node.threshold
+        on_path = (node.left == path[position + 1] and goes_left) or \
+                  (node.right == path[position + 1] and not goes_left)
+        bits = (bits << 1) | int(on_path)
+    return DecisionPattern(bits, len(path) - 1)

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from woodelf.cli import main
+from woodelf.cli import GOLDEN_EQUIVALENT, GOLDEN_FORMULA, main
 from woodelf.cube_mapping import map_patterns_to_cube
 from woodelf.engine import (
     baseline_attributions,
@@ -22,15 +22,12 @@ from woodelf.engine import (
     woodelf,
 )
 from woodelf.formula_core import (
-    Cube,
+    FORMULA_METRICS,
     Form,
     MetricKind,
-    WeightedFormula,
     banzhaf,
-    banzhaf_iv,
     evaluate,
     shapley,
-    shapley_iv,
 )
 from woodelf.oracle import (
     ensemble_pd_characteristic,
@@ -59,35 +56,9 @@ def criterion(number: int, description: str):
     print(f"ACCEPTANCE {number}: {description}: PASS")
 
 
-def _golden():
-    return WeightedFormula.wdnf([
-        Cube((), (0,), 3.0),
-        Cube((0,), (2,), 5.0),
-        Cube((1, 2), (0,), 2.0),
-    ], num_vars=3)
-
-
-def _equivalent():
-    return WeightedFormula.wdnf([
-        Cube((0,), (), 5.0),
-        Cube((2,), (), -5.0),
-        Cube((), (0, 2), 3.0),
-        Cube((2,), (0,), 10.0),
-        Cube((2,), (0, 1), -2.0),
-    ], num_vars=3)
-
-
-def _metric_values(result):
-    return result.singles if result.singles is not None else result.pairs
-
-
-FAST = {MetricKind.SHAPLEY: shapley, MetricKind.BANZHAF: banzhaf,
-        MetricKind.SHAPLEY_IV: shapley_iv, MetricKind.BANZHAF_IV: banzhaf_iv}
-
-
 def test_criterion_1_golden_values():
     with criterion(1, "golden Shapley/Banzhaf values and efficiency sum"):
-        f = _golden()
+        f = GOLDEN_FORMULA
         phi = shapley(f).singles
         beta = banzhaf(f).singles
         np.testing.assert_allclose(
@@ -100,7 +71,7 @@ def test_criterion_1_golden_values():
 
 def test_criterion_2_robustness():
     with criterion(2, "equivalent formulas agree on values, differ on raw weights"):
-        f, g = _golden(), _equivalent()
+        f, g = GOLDEN_FORMULA, GOLDEN_EQUIVALENT
         for x in ((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
             assert evaluate(f, x) == pytest.approx(evaluate(g, x), abs=EXACT)
         assert np.max(np.abs(shapley(f).singles - shapley(g).singles)) <= EXACT
@@ -118,9 +89,9 @@ def test_criterion_3_formula_oracle_equivalence():
             f = random_formula(rng, num_vars=int(rng.integers(1, 13)),
                                max_cubes=30, form=form)
             cf = formula_characteristic(f)
-            for kind, fast in FAST.items():
-                got = _metric_values(fast(f))
-                expected = _metric_values(exact_attribution(cf, kind))
+            for kind, fast in FORMULA_METRICS.items():
+                got = fast(f).values
+                expected = exact_attribution(cf, kind).values
                 if got.size:
                     worst = max(worst, float(np.max(np.abs(got - expected))))
         elapsed = time.perf_counter() - start
@@ -152,8 +123,8 @@ def test_criterion_4_pipeline_oracle_equivalence():
                 cf_bg = tree_characteristic(ens, C[r], B)
                 cf_pd = ensemble_pd_characteristic(ens, C[r])
                 for kind in MetricKind:
-                    e_bg = _metric_values(exact_attribution(cf_bg, kind))
-                    e_pd = _metric_values(exact_attribution(cf_pd, kind))
+                    e_bg = exact_attribution(cf_bg, kind).values
+                    e_pd = exact_attribution(cf_pd, kind).values
                     if e_bg.size:
                         worst = max(worst, float(np.max(np.abs(
                             results_bg[kind][r] - e_bg))))

@@ -336,15 +336,3 @@ def test_selftest_detects_corrupted_reference(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 5
     assert "FAIL" in out
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-def test_bench_smoke(capsys):
-    code = main(["bench", "--trees", "2", "--depth", "3", "--features", "4",
-                 "--n", "400", "--m", "400"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "gather time ratio" in out
-    assert "dictionary entries by path length: [3, 9, 27]" in out

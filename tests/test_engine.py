@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import decision_pattern_single
 from woodelf import cube_mapping
 from woodelf.cli import ORACLE_TOLERANCE
 from woodelf.cube_mapping import map_patterns_to_cube
@@ -18,7 +18,6 @@ from woodelf.engine import (
     baseline_attributions,
     build_contribution_matrices,
     build_score_vectors,
-    gather_attributions,
     gather_block_rows,
     path_dependent_frequencies,
     resolve_metric,
@@ -41,9 +40,7 @@ from woodelf.oracle import (
     tree_characteristic,
 )
 from woodelf.patterns import (
-    LeafPatternTable,
     calc_decision_patterns,
-    decision_pattern_single,
     leaf_key_patterns,
     subtree_blocks,
 )
@@ -51,10 +48,6 @@ from woodelf.synth import random_data, random_ensemble
 from woodelf.tree_model import Tree, TreeEnsemble, inner, leaf, predict_batch
 
 ALL_KINDS = list(MetricKind)
-
-
-def _values(result):
-    return result.singles if result.singles is not None else result.pairs
 
 
 def _score_dict(matrices, f, w) -> dict:
@@ -326,54 +319,14 @@ def test_score_vectors_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# stage 4: gathers
-
-def test_gather_worked_example(two_split_tree, consumer_row, baseline_row):
-    freqs = _per_leaf_background_frequencies(two_split_tree, baseline_row.reshape(1, -1))
-    score_vectors = {}
-    for lf in two_split_tree.leaf_indices():
-        d = map_patterns_to_cube(two_split_tree.path_features(lf))
-        matrices = build_contribution_matrices(d, shapley_metric())
-        score_vectors[lf] = _score_dict(
-            matrices, freqs[lf], two_split_tree.nodes[lf].leaf_weight)
-    table = calc_decision_patterns(two_split_tree, consumer_row.reshape(1, -1))
-    out = gather_attributions(score_vectors, table, num_features=2, pairwise=False)
-    # Leaf 3 alone contributes +2/-2; leaf 4 adds +0.5/+0.5; leaf 2 is zero.
-    np.testing.assert_allclose(out[0], [2.5, -1.5], atol=1e-12)
-
+# stage 4: the gather
 
 def test_gather_zero_score_rows():
-    tree = Tree((inner(0, 0.5, 1, 2), leaf(1.0), leaf(2.0)), 0)
-    table = calc_decision_patterns(tree, np.array([[0.9]]))
-    score_vectors = {1: {(0,): np.array([0.0, 5.0])},
-                     2: {(0,): np.array([0.0, 7.0])}}
-    # Row pattern is 0 at leaf 1 and 1 at leaf 2.
-    out = gather_attributions(score_vectors, table, 1, False)
-    np.testing.assert_array_equal(out, [[7.0]])
-
-
-def test_gather_matches_scalar_loop():
-    rng = np.random.default_rng(23)
-    ens = random_ensemble(rng, 1, 3, max_depth=3)
-    tree = ens.trees[0]
-    C = random_data(rng, 9, 3)
-    B = random_data(rng, 4, 3)
-    freqs = _per_leaf_background_frequencies(tree, B)
-    score_vectors = {}
-    for lf in tree.leaf_indices():
-        d = map_patterns_to_cube(tree.path_features(lf))
-        matrices = build_contribution_matrices(d, shapley_metric())
-        score_vectors[lf] = _score_dict(matrices, freqs[lf],
-                                        tree.nodes[lf].leaf_weight)
-    table = calc_decision_patterns(tree, C)
-    out = gather_attributions(score_vectors, table, 3, False)
-    expected = np.zeros_like(out)
-    for r in range(C.shape[0]):
-        for lf, per_subset in score_vectors.items():
-            p = int(table.patterns[lf][r])
-            for subset, vec in per_subset.items():
-                expected[r, subset[0]] += vec[p]
-    np.testing.assert_allclose(out, expected, atol=1e-12)
+    # Leaf 1 weighs 0, so its score rows are all zero; the consumer reaches
+    # leaf 2 and the baseline leaf 1, so only leaf 2's score (7) is added.
+    tree = Tree((inner(0, 0.5, 1, 2), leaf(0.0), leaf(7.0)), 0)
+    result = woodelf(TreeEnsemble((tree,), 1), np.array([[0.9]]), np.array([[0.1]]))
+    np.testing.assert_array_equal(result.values, [[7.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +384,9 @@ def test_pipeline_matches_oracle_all_metrics_both_modes():
                 exp_bg = exact_attribution(tree_characteristic(ens, C[r], B), kind)
                 exp_pd = exact_attribution(ensemble_pd_characteristic(ens, C[r]),
                                            kind)
-                np.testing.assert_allclose(got_bg.values[r], _values(exp_bg),
+                np.testing.assert_allclose(got_bg.values[r], exp_bg.values,
                                            atol=1e-9)
-                np.testing.assert_allclose(got_pd.values[r], _values(exp_pd),
+                np.testing.assert_allclose(got_pd.values[r], exp_pd.values,
                                            atol=1e-9)
 
 
@@ -614,14 +567,6 @@ def test_pairs_in_either_order_are_one_subset(kind):
             == woodelf(ens, C, background, kind).values.tobytes()
 
 
-def test_gather_adds_a_pair_given_in_both_orders():
-    table = LeafPatternTable({0: np.array([0, 1])}, {0: 1}, 2)
-    v, w = np.array([1.0, 2.0]), np.array([0.5, 4.0])
-    both = gather_attributions({0: {(0, 1): v, (1, 0): w}}, table, 3, True)
-    np.testing.assert_array_equal(both[:, pair_index(0, 1, 3)], v + w)
-    np.testing.assert_array_equal(both[:, 1:], 0.0)
-
-
 def test_pair_of_one_variable_rejected():
     doubled = Metric(lambda cube: [((0, 0), cube.weight)] if cube.size else [],
                      pairwise=True)
@@ -730,9 +675,9 @@ def test_wide_block_keys_and_root_leaf_tree(depth):
                     for b in (1, 7, 4096) for t in (1, 3)]
             for values in runs[1:]:
                 np.testing.assert_array_equal(values, runs[0])
-            exact = [_values(exact_attribution(
+            exact = [exact_attribution(
                 tree_characteristic(ens, row, B) if background is not None
-                else ensemble_pd_characteristic(ens, row), kind)) for row in C]
+                else ensemble_pd_characteristic(ens, row), kind).values for row in C]
             np.testing.assert_allclose(runs[0], exact, rtol=0, atol=1e-12)
             if depth <= 8:  # the reference builds 3^depth positional cubes a leaf
                 np.testing.assert_allclose(
@@ -761,7 +706,7 @@ def test_repeated_features_match_oracle_with_one_dictionary_per_u(features,
             for r in range(C.shape[0]):
                 cf = tree_characteristic(ens, C[r], B) if background is not None \
                     else ensemble_pd_characteristic(ens, C[r])
-                np.testing.assert_allclose(got[r], _values(exact_attribution(cf, kind)),
+                np.testing.assert_allclose(got[r], exact_attribution(cf, kind).values,
                                            rtol=0, atol=ORACLE_TOLERANCE)
 
 

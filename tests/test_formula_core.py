@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from woodelf.errors import DimensionError, FormError
 from woodelf.formula_core import (
+    FORMULA_METRICS,
     Cube,
     Form,
     MetricKind,
@@ -276,6 +277,21 @@ def test_pairs_matrix_is_symmetric(golden_formula):
     m = shapley_iv(golden_formula).pairs_matrix()
     np.testing.assert_array_equal(m, m.T)
     assert np.all(np.diag(m) == 0.0)
+
+
+def test_values_are_singles_else_pairs(golden_formula):
+    singles = shapley(golden_formula)
+    assert singles.values is singles.singles
+    pairs = shapley_iv(golden_formula)
+    assert pairs.singles is None
+    assert pairs.values is pairs.pairs
+    assert pairs.values.shape == (pair_count(3),)
+
+
+def test_formula_metrics_cover_every_kind(golden_formula):
+    assert set(FORMULA_METRICS) == set(MetricKind)
+    for kind, metric in FORMULA_METRICS.items():
+        assert metric(golden_formula).metric is kind
 
 
 def test_binomial_matches_math_comb():

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DecisionPattern, decision_pattern_single
 from woodelf.cube_mapping import canonical_path, collapse_map
 from woodelf.errors import ModelSchemaError
 from woodelf.patterns import (
-    DecisionPattern,
     block_keys,
     calc_decision_patterns,
-    decision_pattern_single,
     leaf_key_map,
     leaf_key_patterns,
     pattern_dtype_for_depth,
