@@ -9,17 +9,10 @@ characteristic functions.
 
 from .engine import (
     BatchAttribution,
-    Metric,
     background_frequencies,
-    banzhaf_iv_metric,
-    banzhaf_metric,
-    baseline_attributions,
     build_contribution_matrices,
     build_score_vectors,
     path_dependent_frequencies,
-    resolve_metric,
-    shapley_iv_metric,
-    shapley_metric,
     stack_subsets,
     woodelf,
 )
@@ -66,14 +59,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributionResult", "BatchAttribution", "Cube", "DataMatrix", "Form",
-    "Metric", "MetricKind", "Tree", "TreeEnsemble", "TreeNode",
-    "WeightedFormula", "background_frequencies", "banzhaf", "banzhaf_iv",
-    "banzhaf_iv_metric", "banzhaf_metric", "baseline_attributions",
+    "MetricKind", "Tree", "TreeEnsemble", "TreeNode", "WeightedFormula",
+    "background_frequencies", "banzhaf", "banzhaf_iv",
     "build_contribution_matrices", "build_score_vectors", "evaluate",
     "load_data", "load_model", "pair_count", "pair_index",
     "path_dependent_frequencies", "predict", "predict_batch", "preprocess",
-    "resolve_metric", "save_model", "shapley", "shapley_iv",
-    "shapley_iv_metric", "shapley_metric", "split", "stack_subsets",
+    "save_model", "shapley", "shapley_iv", "split", "stack_subsets",
     "wcnf_to_wdnf", "woodelf",
     "DataError", "DimensionError", "FormError", "ModeError",
     "ModelSchemaError", "NodeKindError", "VerificationError", "WoodelfError",

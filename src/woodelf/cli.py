@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import baseline_attributions, woodelf
+from .engine import woodelf
 from .errors import (
     DataError,
     DimensionError,
@@ -42,6 +42,7 @@ from . import oracle
 from .synth import random_data, random_ensemble, random_formula
 from .tree_model import (
     DEFAULT_DEPTH_CAP,
+    HARD_DEPTH_CAP,
     DataMatrix,
     TreeEnsemble,
     load_data,
@@ -60,7 +61,6 @@ ORACLE_TOLERANCE = 1e-9       # internal cross-checks against the exact oracles
 REFERENCE_TOLERANCE = 1e-5    # comparisons against externally produced values
 
 _METRIC_NAMES = [k.value for k in MetricKind]
-_MODES = ["background", "path-dependent", "baseline"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,27 +70,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="compute attributions for a consumer table")
+    p = sub.add_parser("compute", help="compute attributions for a consumer table",
+                       allow_abbrev=False)
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--format", default="native", choices=["native", "xgb"],
                    help="model file format")
     p.add_argument("--consumers", required=True, help="consumer CSV")
     p.add_argument("--background", help="background CSV (enables background mode)")
     p.add_argument("--metric", default="shapley", choices=_METRIC_NAMES)
-    p.add_argument("--mode", choices=_MODES,
-                   help="override the mode inferred from --background")
     p.add_argument("--baseline-row",
-                   help="baseline for --mode baseline: a row index into the "
-                        "background CSV (or consumers CSV if none), or a CSV "
+                   help="selects baseline mode: a row index into the --background "
+                        "CSV when given (else into the consumers CSV), or a CSV "
                         "file whose first row is the baseline")
     p.add_argument("--out", required=True, help="output file (.csv or .json)")
-    p.add_argument("--threads", type=_positive_int, default=1)
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
-    p.add_argument("--verify", type=int, default=0, metavar="N",
+    p.add_argument("--threads", type=_int_range(1), default=1)
+    p.add_argument("--depth-cap", type=_int_range(1, HARD_DEPTH_CAP),
+                   default=DEFAULT_DEPTH_CAP)
+    p.add_argument("--verify", type=_int_range(0), default=0, metavar="N",
                    help="cross-check N sampled rows against the exact oracle")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("selftest", help="run the built-in golden/oracle suite")
+    p = sub.add_parser("selftest", help="run the built-in golden/oracle suite",
+                       allow_abbrev=False)
     p.add_argument("--reference",
                    help="JSON file of externally produced values to enforce "
                         f"at {REFERENCE_TOLERANCE:g} absolute")
@@ -103,14 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_range(low: int, high: float = float("inf")):
+    """An argparse type: an integer in ``low..high``, so a value out of range
+    exits 2 before anything runs."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer in {low}..{high}, got {text!r}")
+        return value
+    return parse
 
 
 def main(argv=None) -> int:
@@ -138,8 +144,10 @@ def _fail(exc: Exception, code: int) -> int:
 # compute
 
 def cmd_compute(args) -> int:
+    """``--baseline-row`` selects baseline mode, a one-row background;
+    otherwise ``--background`` selects background mode, and with neither the
+    run is path-dependent."""
     metric = MetricKind(args.metric)
-    mode = args.mode or ("background" if args.background else "path-dependent")
     try:
         ensemble = load_model(args.model, args.format, depth_cap=args.depth_cap)
     except OSError as exc:
@@ -150,32 +158,27 @@ def cmd_compute(args) -> int:
     if args.background is not None:
         background = _read_csv(args.background, ensemble.feature_names)
 
-    if mode == "background":
-        if background is None or background.num_rows == 0:
+    if args.baseline_row is not None:
+        background = _resolve_baseline(args.baseline_row, ensemble, consumers,
+                                       background).reshape(1, -1)
+    elif background is not None:
+        if background.num_rows == 0:
             raise ModeError("background mode requires a non-empty --background CSV")
-        result = woodelf(ensemble, consumers, background, metric, threads=args.threads)
-        baseline = None
-    elif mode == "baseline":
-        baseline = _resolve_baseline(args.baseline_row, ensemble, consumers, background)
-        result = baseline_attributions(ensemble, consumers, baseline, metric,
-                                       threads=args.threads)
-    else:
-        if not ensemble.has_covers():
-            raise ModeError(
-                "path-dependent mode requires node covers in the model dump; "
-                "provide --background or a model with cover fields"
-            )
-        result = woodelf(ensemble, consumers, None, metric, threads=args.threads)
+        background = background.values
+    elif not ensemble.has_covers():
+        raise ModeError(
+            "path-dependent mode requires node covers in the model dump; "
+            "provide --background or a model with cover fields"
+        )
+    result = woodelf(ensemble, consumers, background, metric, threads=args.threads)
 
     _write_result(args.out, result, ensemble.feature_names)
     print(f"wrote {consumers.num_rows} rows to {args.out}")
 
     if args.verify > 0:
-        bg_for_oracle = baseline.reshape(1, -1) if mode == "baseline" \
-            else (background.values if background is not None else None)
         dev, checked = _oracle_deviation(
-            ensemble, consumers.values, bg_for_oracle, mode, metric,
-            result.values, args.verify)
+            ensemble, consumers.values, background, metric, result.values,
+            args.verify)
         print(f"verify: max abs deviation {dev:.3e} vs oracle over "
               f"{checked} rows (tolerance {ORACLE_TOLERANCE:g})")
         if dev > ORACLE_TOLERANCE:
@@ -191,11 +194,9 @@ def _read_csv(path: str, feature_names) -> DataMatrix:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
 
 
-def _resolve_baseline(spec: str | None, ensemble: TreeEnsemble,
+def _resolve_baseline(spec: str, ensemble: TreeEnsemble,
                       consumers: DataMatrix,
                       background: DataMatrix | None) -> np.ndarray:
-    if spec is None:
-        raise ModeError("baseline mode requires --baseline-row")
     try:
         index = int(spec)
     except ValueError:
@@ -211,7 +212,7 @@ def _resolve_baseline(spec: str | None, ensemble: TreeEnsemble,
 
 
 def _oracle_deviation(ensemble, consumers: np.ndarray, background,
-                      mode: str, kind: MetricKind, values: np.ndarray,
+                      kind: MetricKind, values: np.ndarray,
                       sample: int, seed: int = 0) -> tuple[float, int]:
     if ensemble.num_features > oracle.PLAYER_CAP:
         raise ModeError(
@@ -223,7 +224,7 @@ def _oracle_deviation(ensemble, consumers: np.ndarray, background,
     rows = sorted(rng.choice(n, size=min(sample, n), replace=False).tolist())
     worst = 0.0
     for r in rows:
-        if mode in ("background", "baseline"):
+        if background is not None:
             cf = oracle.tree_characteristic(ensemble, consumers[r], background)
         else:
             cf = oracle.ensemble_pd_characteristic(ensemble, consumers[r])
@@ -266,7 +267,7 @@ def _write_result(path: str, result, feature_names) -> None:
 def _write_json(path: str, result, names) -> None:
     h = len(names)
     doc: dict = {
-        "metric": result.metric.value if result.metric else "custom",
+        "metric": result.metric.value,
         "feature_names": names,
     }
     rows = []
@@ -378,7 +379,7 @@ def _pipeline_oracle_check(count: int, seed: int = 23) -> list[Check]:
             got_bg = woodelf(ens, C, B, kind).values
             got_pd = woodelf(ens, C, None, kind).values
             mean_of_baselines = np.mean(
-                [baseline_attributions(ens, C, B[k], kind).values
+                [woodelf(ens, C, B[k:k + 1], kind).values
                  for k in range(B.shape[0])], axis=0)
             if got_bg.size:
                 worst_chain = max(worst_chain, float(
@@ -434,14 +435,12 @@ def _reference_check(path: str) -> Check:
     ensemble = validate_ensemble(model_from_dict(model)) if isinstance(model, dict) \
         else load_model(model)
     mode = doc.get("mode", "background" if "background" in doc else "path-dependent")
+    background = None
     if mode == "baseline":
-        result = baseline_attributions(
-            ensemble, consumers, np.asarray(doc["baseline_row"]), metric)
+        background = np.asarray(doc["baseline_row"], dtype=np.float64).reshape(1, -1)
     elif mode == "background":
-        result = woodelf(ensemble, consumers,
-                         np.asarray(doc["background"], dtype=np.float64), metric)
-    else:
-        result = woodelf(ensemble, consumers, None, metric)
+        background = np.asarray(doc["background"], dtype=np.float64)
+    result = woodelf(ensemble, consumers, background, metric)
     if metric.pairwise:
         worst = 0.0
         for row_id, i, j, value in doc["pairs"]:

@@ -1,6 +1,5 @@
 """The attribution pipeline: frequencies, contribution matrices, score vectors,
-and a batched gather, generic over any per-cube metric that is linear in the
-cube weight.
+and a batched gather, for each ``MetricKind``.
 
 Per tree: (1) baseline frequencies, from a background dataset or from node
 covers. The tree is cut into its maximal subtrees of height at most 2
@@ -32,7 +31,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,56 +56,6 @@ from .patterns import (
     subtree_blocks,
 )
 from .tree_model import Tree, TreeEnsemble, as_matrix
-
-
-@dataclass(frozen=True, eq=False)
-class Metric:
-    """A per-cube attribution rule.
-
-    ``apply`` maps a cube to (feature subset, value) pairs, with subsets of
-    size one or two, and must be linear in the cube weight. A pair is
-    unordered: (a, b) and (b, a) name one subset. Subsets reference
-    the variable ids used inside the cube: the pipeline's cubes speak in a
-    path's unique-feature ordinals, renamed to feature ids afterwards.
-    """
-
-    apply: Callable[[Cube], Sequence[tuple[tuple[int, ...], float]]]
-    pairwise: bool
-    kind: MetricKind | None = None
-
-
-def shapley_metric() -> Metric:
-    return Metric(lambda c: [((i,), v) for i, v in cube_shapley(c)],
-                  pairwise=False, kind=MetricKind.SHAPLEY)
-
-
-def banzhaf_metric() -> Metric:
-    return Metric(lambda c: [((i,), v) for i, v in cube_banzhaf(c)],
-                  pairwise=False, kind=MetricKind.BANZHAF)
-
-
-def shapley_iv_metric() -> Metric:
-    return Metric(cube_shapley_iv, pairwise=True, kind=MetricKind.SHAPLEY_IV)
-
-
-def banzhaf_iv_metric() -> Metric:
-    return Metric(cube_banzhaf_iv, pairwise=True, kind=MetricKind.BANZHAF_IV)
-
-
-_METRIC_FACTORIES = {
-    MetricKind.SHAPLEY: shapley_metric,
-    MetricKind.BANZHAF: banzhaf_metric,
-    MetricKind.SHAPLEY_IV: shapley_iv_metric,
-    MetricKind.BANZHAF_IV: banzhaf_iv_metric,
-}
-
-
-def resolve_metric(metric: "Metric | MetricKind | str") -> Metric:
-    if isinstance(metric, Metric):
-        return metric
-    if isinstance(metric, str):
-        metric = MetricKind(metric)
-    return _METRIC_FACTORIES[metric]()
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +121,22 @@ def path_dependent_frequencies(tree: Tree) -> dict[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Stage 2: sparse contribution matrices
 
+def cube_contributions(cube: Cube,
+                       kind: MetricKind) -> list[tuple[tuple[int, ...], float]]:
+    """One cube's (feature subset, value) pairs under ``kind``: one-variable
+    subsets, or pairs as (min, max), the order the pairwise rules give."""
+    # The rules are looked up by their module-global names at each call, not
+    # through a table of function objects: the benchmark's tracer counts
+    # their calls by swapping these names in this module.
+    if kind is MetricKind.SHAPLEY:
+        return [((i,), v) for i, v in cube_shapley(cube)]
+    if kind is MetricKind.BANZHAF:
+        return [((i,), v) for i, v in cube_banzhaf(cube)]
+    if kind is MetricKind.SHAPLEY_IV:
+        return cube_shapley_iv(cube)
+    return cube_banzhaf_iv(cube)
+
+
 class SubsetEntries(NamedTuple):
     """The stored entries of one subset's ``size``-square contribution
     matrix: values at (consumer pattern, baseline pattern) = (row, column)."""
@@ -187,23 +152,21 @@ class SubsetEntries(NamedTuple):
 
 
 def build_contribution_matrices(dictionary: CubeDictionary,
-                                metric: Metric) -> dict[tuple[int, ...], SubsetEntries]:
+                                kind: MetricKind) -> dict[tuple[int, ...], SubsetEntries]:
     """One sparse (consumer pattern, baseline pattern) matrix per feature subset.
 
     Each dictionary entry scatters its metric values at its own key, so a
     subset's matrix has at most 3^depth entries in a 2^depth-square shape;
     no dense matrix is built. Leaf weights are deliberately not applied here,
     keeping the matrices shareable across all leaves with as many unique path
-    features. Pairs are keyed (min, max), whichever order ``metric`` gives.
+    features.
     """
     if not dictionary.path_features:
         return {}
     size = 1 << dictionary.depth
     triplets: dict[tuple[int, ...], tuple[list, list, list]] = {}
     for (pc, pb), cube in dictionary.entries.items():
-        for subset, value in metric.apply(cube):
-            if len(subset) == 2 and subset[0] > subset[1]:
-                subset = (subset[1], subset[0])
+        for subset, value in cube_contributions(cube, kind):
             rows, cols, vals = triplets.setdefault(subset, ([], [], []))
             rows.append(pc)
             cols.append(pb)
@@ -279,19 +242,6 @@ def gather_block_rows(width: int) -> int:
     return min(2 * DEFAULT_BLOCK_SIZE, max(DEFAULT_BLOCK_SIZE, rows))
 
 
-def _subset_ordinals(subsets: Sequence[tuple[int, ...]], pairwise: bool) -> np.ndarray:
-    """The subsets as one (subsets x subset size) array of path ordinals."""
-    size = 2 if pairwise else 1
-    if any(len(subset) != size for subset in subsets):
-        raise DimensionError(
-            "metric returned a subset size that contradicts its pairwise flag"
-        )
-    ordinals = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
-    if pairwise and np.any(ordinals[:, 0] == ordinals[:, 1]):
-        raise ValueError("interaction pairs must have distinct variables")
-    return ordinals
-
-
 def _subset_columns(ordinals: np.ndarray, rename: tuple[int, ...],
                     num_features: int) -> list[int]:
     """Output column of each subset once its ordinals are renamed to feature
@@ -340,17 +290,19 @@ class BatchAttribution:
     interaction metrics.
     """
 
-    metric: MetricKind | None
+    metric: MetricKind
     num_features: int
-    pairwise: bool
     values: np.ndarray
     timings: dict[str, float] | None = None
 
+    @property
+    def pairwise(self) -> bool:
+        return self.metric.pairwise
+
     def row(self, idx: int) -> AttributionResult:
-        kind = self.metric if self.metric is not None else MetricKind.SHAPLEY
         if self.pairwise:
-            return AttributionResult(kind, self.num_features, pairs=self.values[idx])
-        return AttributionResult(kind, self.num_features, singles=self.values[idx])
+            return AttributionResult(self.metric, self.num_features, pairs=self.values[idx])
+        return AttributionResult(self.metric, self.num_features, singles=self.values[idx])
 
     def pair_values(self, i: int, j: int) -> np.ndarray:
         if not self.pairwise:
@@ -361,14 +313,16 @@ class BatchAttribution:
 def woodelf(ensemble: TreeEnsemble,
             consumers,
             background=None,
-            metric: "Metric | MetricKind | str" = MetricKind.SHAPLEY,
+            metric: MetricKind | str = MetricKind.SHAPLEY,
             threads: int = 1,
             block_size: int | None = None) -> BatchAttribution:
     """Attributions of every consumer row under the requested metric.
 
-    A present, non-empty ``background`` selects background mode; otherwise
-    the ensemble's covers drive path-dependent mode. Interaction metrics
-    fill unordered pairs only. Stage wall times are reported in ``timings``.
+    ``metric`` is a ``MetricKind`` or its name. A present, non-empty
+    ``background`` selects background mode, and a one-row background is a
+    single baseline; otherwise the ensemble's covers drive path-dependent
+    mode. Interaction metrics fill unordered pairs only. Stage wall times
+    are reported in ``timings``.
 
     Each tree's score tables are built once: one (columns x keys) table per
     height-2 subtree block, of 2^(key bits) floats a column, where a block's
@@ -384,7 +338,7 @@ def woodelf(ensemble: TreeEnsemble,
     counted: one key per block and row, one byte while keys fit 8 bits (16
     bytes a row for a full depth-6 tree, where per-leaf patterns took 64).
     """
-    metric = resolve_metric(metric)
+    metric = MetricKind(metric)
     if block_size is not None and block_size < 1:
         raise ValueError(f"block_size must be positive, got {block_size}")
     if threads < 1:
@@ -437,7 +391,9 @@ def woodelf(ensemble: TreeEnsemble,
                 if u not in stacks:
                     stacked = stack_subsets(build_contribution_matrices(dictionary, metric),
                                             1 << u)
-                    stacks[u] = stacked, _subset_ordinals(stacked.subsets, metric.pairwise)
+                    ordinals = np.array(stacked.subsets, dtype=np.intp)
+                    stacks[u] = stacked, ordinals.reshape(len(stacked.subsets),
+                                                          1 + metric.pairwise)
                 stacked, ordinals = stacks[u]
                 t2 = time.perf_counter()
                 subset_columns = column_cache.get(rename)
@@ -489,16 +445,4 @@ def woodelf(ensemble: TreeEnsemble,
                 f.result()
     timings["gather"] += time.perf_counter() - t0
 
-    return BatchAttribution(metric.kind, h, metric.pairwise, out, timings)
-
-
-def baseline_attributions(ensemble: TreeEnsemble,
-                          consumers,
-                          baseline_row,
-                          metric: "Metric | MetricKind | str" = MetricKind.SHAPLEY,
-                          threads: int = 1) -> BatchAttribution:
-    """Attributions against a single fixed baseline row: background mode with
-    a one-row background."""
-    row = np.asarray(baseline_row, dtype=np.float64).reshape(1, -1)
-    return woodelf(ensemble, consumers, background=row, metric=metric,
-                   threads=threads)
+    return BatchAttribution(metric, h, out, timings)

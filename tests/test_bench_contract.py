@@ -51,7 +51,7 @@ def test_traced_calls_reach_every_measured_layer():
     C = random_data(rng, 20, 4)
     B = random_data(rng, 8, 4)
     for background in (B, None):
-        for metric in ("shapley", "shapley-iv"):
+        for metric in ("shapley", "banzhaf", "shapley-iv", "banzhaf-iv"):
             traced = tracer.Tracer()
             with traced.installed():
                 woodelf.woodelf(ens, C, background, metric)

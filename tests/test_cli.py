@@ -159,8 +159,7 @@ def test_compute_baseline_mode_with_row_index(toy):
     out = toy["dir"] / "baseline.csv"
     code = main(["compute", "--model", toy["model"], "--consumers",
                  toy["consumers"], "--background", toy["background"],
-                 "--mode", "baseline", "--baseline-row", "0",
-                 "--out", str(out)])
+                 "--baseline-row", "0", "--out", str(out)])
     assert code == 0
     _, values = _read_singles_csv(out)
     # Baseline row 0 equals consumer row 1, whose attributions must vanish.
@@ -173,19 +172,65 @@ def test_compute_baseline_mode_with_file(toy):
     baseline_file.write_text("age,sugar\n70,5\n")
     out = toy["dir"] / "baseline_out.csv"
     code = main(["compute", "--model", toy["model"], "--consumers",
-                 toy["consumers"], "--mode", "baseline",
-                 "--baseline-row", str(baseline_file), "--out", str(out)])
+                 toy["consumers"], "--baseline-row", str(baseline_file),
+                 "--out", str(out)])
     assert code == 0
     _, values = _read_singles_csv(out)
     np.testing.assert_allclose(values[0], [2.5, -1.5], atol=1e-9)
 
 
+def test_baseline_row_selects_baseline_mode_over_background(toy):
+    # Row 0 of the background is (70, 5): with --background given, the run
+    # is against that one row, not against the whole background.
+    baseline_file = toy["dir"] / "row0.csv"
+    baseline_file.write_text("age,sugar\n70,5\n")
+    outs = {label: toy["dir"] / f"{label}.csv" for label in ("row", "file", "bg")}
+    base = ["compute", "--model", toy["model"], "--consumers", toy["consumers"]]
+    assert main(base + ["--background", toy["background"], "--baseline-row", "0",
+                        "--out", str(outs["row"])]) == 0
+    assert main(base + ["--baseline-row", str(baseline_file),
+                        "--out", str(outs["file"])]) == 0
+    assert main(base + ["--background", toy["background"],
+                        "--out", str(outs["bg"])]) == 0
+    assert outs["row"].read_bytes() == outs["file"].read_bytes()
+    assert outs["row"].read_bytes() != outs["bg"].read_bytes()
+
+
 def test_missing_background_in_background_mode_exits_2(toy, capsys):
+    empty = toy["dir"] / "empty.csv"
+    empty.write_text("age,sugar\n")
     code = main(["compute", "--model", toy["model"], "--consumers",
-                 toy["consumers"], "--mode", "background",
+                 toy["consumers"], "--background", str(empty),
                  "--out", str(toy["dir"] / "x.csv")])
     assert code == 2
     assert "background" in capsys.readouterr().err
+    assert not (toy["dir"] / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--depth-cap", "0"), ("--depth-cap", "31"), ("--verify", "-1"),
+])
+def test_out_of_range_numbers_exit_2_when_parsed(toy, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--model", toy["model"], "--consumers", toy["consumers"],
+              flag, value, "--out", str(toy["dir"] / "x.csv")])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (toy["dir"] / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--model", "m.json", "--consumers", "c.csv", "--out", "o.csv",
+     "--mode", "baseline"],
+    ["selftest", "--form", "2"],
+], ids=["compute", "selftest"])
+def test_flag_prefixes_are_not_expanded(capsys, argv):
+    # A retired or shortened flag is an unknown argument (exit 2), not a
+    # prefix of --model or --formulas.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -13,23 +13,17 @@ from woodelf import cube_mapping
 from woodelf.cli import ORACLE_TOLERANCE
 from woodelf.cube_mapping import map_patterns_to_cube
 from woodelf.engine import (
-    Metric,
     background_frequencies,
-    baseline_attributions,
     build_contribution_matrices,
     build_score_vectors,
     gather_block_rows,
     path_dependent_frequencies,
-    resolve_metric,
-    shapley_metric,
     stack_subsets,
     woodelf,
 )
 from woodelf.errors import DimensionError, ModeError
 from woodelf.formula_core import (
     MetricKind,
-    cube_shapley,
-    cube_shapley_iv,
     pair_count,
     pair_index,
 )
@@ -214,19 +208,19 @@ def _dense(m) -> np.ndarray:
 
 def test_contribution_matrices_worked_two_feature_path():
     d = map_patterns_to_cube((0, 1))
-    matrices = build_contribution_matrices(d, shapley_metric())
+    matrices = build_contribution_matrices(d, MetricKind.SHAPLEY)
     assert _dense(matrices[(0,)])[0b10, 0b01] == pytest.approx(0.5)
     assert _dense(matrices[(1,)])[0b10, 0b01] == pytest.approx(-0.5)
 
 
 def test_contribution_matrices_empty_path():
-    assert build_contribution_matrices(map_patterns_to_cube(()), shapley_metric()) == {}
+    assert build_contribution_matrices(map_patterns_to_cube(()), MetricKind.SHAPLEY) == {}
 
 
 def test_contribution_matrices_nnz_bounded():
     for length in range(1, 6):
         d = map_patterns_to_cube(tuple(range(length)))
-        for metric in (shapley_metric(), resolve_metric("shapley-iv")):
+        for metric in (MetricKind.SHAPLEY, MetricKind.SHAPLEY_IV):
             matrices = build_contribution_matrices(d, metric)
             for m in matrices.values():
                 assert m.nnz == len(m.rows) == len(m.cols) == len(m.values)
@@ -238,7 +232,7 @@ def test_contribution_matrices_nnz_bounded():
 
 def test_contribution_matrices_skip_contradictory_cubes():
     d = map_patterns_to_cube((0, 0))
-    matrices = build_contribution_matrices(d, shapley_metric())
+    matrices = build_contribution_matrices(d, MetricKind.SHAPLEY)
     contradictory_keys = {k for k, c in d.entries.items() if c.contradictory}
     assert contradictory_keys
     for m in matrices.values():
@@ -251,7 +245,7 @@ def test_contribution_matrices_skip_contradictory_cubes():
 
 def test_score_vectors_worked_one_hot():
     d = map_patterns_to_cube((0, 1))
-    matrices = build_contribution_matrices(d, shapley_metric())
+    matrices = build_contribution_matrices(d, MetricKind.SHAPLEY)
     f = np.zeros(4)
     f[0b01] = 1.0
     scores = _score_dict(matrices, f, 4.0)
@@ -263,7 +257,7 @@ def test_score_vectors_worked_one_hot():
 
 def test_score_vectors_zero_matrix_uniform_frequencies():
     d = map_patterns_to_cube((0,))
-    matrices = build_contribution_matrices(d, shapley_metric())
+    matrices = build_contribution_matrices(d, MetricKind.SHAPLEY)
     zeroed = {k: m._replace(values=m.values * 0.0) for k, m in matrices.items()}
     scores = _score_dict(zeroed, np.full(2, 0.5), 3.0)
     for v in scores.values():
@@ -275,7 +269,7 @@ def test_score_vectors_match_dense_product():
     for length in range(1, 7):
         d = map_patterns_to_cube(tuple(range(length)))
         for metric_name in ("shapley", "banzhaf-iv"):
-            matrices = build_contribution_matrices(d, resolve_metric(metric_name))
+            matrices = build_contribution_matrices(d, MetricKind(metric_name))
             f = rng.dirichlet(np.ones(1 << length))
             w = float(rng.normal())
             scores = _score_dict(matrices, f, w)
@@ -289,15 +283,14 @@ def test_stacked_score_vectors_equal_per_subset_bincounts(kind):
     # One bincount over the stacked entries gives each subset's bins the
     # same products in the same order as a bincount per subset: equal bytes.
     rng = np.random.default_rng(35)
-    metric = resolve_metric(kind)
     for u in range(7):
-        matrices = build_contribution_matrices(map_patterns_to_cube(tuple(range(u))), metric)
+        matrices = build_contribution_matrices(map_patterns_to_cube(tuple(range(u))), kind)
         stacked = stack_subsets(matrices, 1 << u)
         f = rng.dirichlet(np.ones(1 << u))
         w = float(rng.normal())
         scores = build_score_vectors(stacked, f, w)
         assert scores.shape == (len(matrices), 1 << u)
-        assert matrices or u <= int(metric.pairwise)
+        assert matrices or u <= int(kind.pairwise)
         assert stacked.subsets == tuple(matrices)
         for row, m in zip(scores, matrices.values(), strict=True):
             reference = w * np.bincount(m.rows, weights=m.values * f[m.cols],
@@ -306,14 +299,14 @@ def test_stacked_score_vectors_equal_per_subset_bincounts(kind):
 
 
 def test_stacking_matrices_of_another_size_rejected():
-    matrices = build_contribution_matrices(map_patterns_to_cube((0, 1)), shapley_metric())
+    matrices = build_contribution_matrices(map_patterns_to_cube((0, 1)), MetricKind.SHAPLEY)
     with pytest.raises(DimensionError):
         stack_subsets(matrices, 2)
 
 
 def test_score_vectors_dimension_mismatch():
     d = map_patterns_to_cube((0, 1))
-    matrices = build_contribution_matrices(d, shapley_metric())
+    matrices = build_contribution_matrices(d, MetricKind.SHAPLEY)
     with pytest.raises(DimensionError):
         build_score_vectors(stack_subsets(matrices, 4), np.ones(2) / 2, 1.0)
 
@@ -343,8 +336,8 @@ def test_depth_one_tree_closed_form():
 
 
 def test_worked_baseline_attribution(two_split_ensemble, consumer_row, baseline_row):
-    result = baseline_attributions(two_split_ensemble,
-                                   consumer_row.reshape(1, -1), baseline_row)
+    result = woodelf(two_split_ensemble, consumer_row.reshape(1, -1),
+                     baseline_row.reshape(1, -1))
     np.testing.assert_allclose(result.values[0], [2.5, -1.5], atol=1e-12)
     cf = tree_characteristic(two_split_ensemble, consumer_row,
                              baseline_row.reshape(1, -1))
@@ -354,9 +347,8 @@ def test_worked_baseline_attribution(two_split_ensemble, consumer_row, baseline_
 
 def test_baseline_equals_consumer_all_zero(two_split_ensemble, consumer_row):
     for kind in ALL_KINDS:
-        result = baseline_attributions(two_split_ensemble,
-                                       consumer_row.reshape(1, -1),
-                                       consumer_row, metric=kind)
+        result = woodelf(two_split_ensemble, consumer_row.reshape(1, -1),
+                         consumer_row.reshape(1, -1), metric=kind)
         np.testing.assert_array_equal(result.values, np.zeros_like(result.values))
 
 
@@ -398,7 +390,7 @@ def test_background_equals_mean_of_baseline_runs():
     for kind in ALL_KINDS:
         together = woodelf(ens, C, B, kind).values
         separate = np.mean(
-            [baseline_attributions(ens, C, B[k], kind).values
+            [woodelf(ens, C, B[k:k + 1], kind).values
              for k in range(B.shape[0])], axis=0)
         np.testing.assert_allclose(together, separate, atol=1e-9)
 
@@ -441,37 +433,6 @@ def test_interaction_symmetry_against_oracle(two_split_ensemble, consumer_row,
     assert forward == pytest.approx(backward, abs=1e-12)
     assert result.pair_values(0, 1)[0] == pytest.approx(forward, abs=1e-9)
     assert result.pair_values(1, 0)[0] == pytest.approx(forward, abs=1e-9)
-
-
-def test_custom_constant_metric_flows_through():
-    # Attribute each non-contradictory cube's weight to the path's first
-    # feature (canonical ordinal 0); verify against a plain scalar replay of
-    # the dictionary/frequency/gather definition.
-    constant = Metric(
-        apply=lambda cube: [] if cube.contradictory else [((0,), cube.weight)],
-        pairwise=False)
-    rng = np.random.default_rng(28)
-    ens = random_ensemble(rng, 2, 3, max_depth=3)
-    C = random_data(rng, 5, 3)
-    B = random_data(rng, 4, 3)
-    got = woodelf(ens, C, B, constant).values
-
-    expected = np.zeros_like(got)
-    for tree in ens.trees:
-        freqs = _per_leaf_background_frequencies(tree, B)
-        table = calc_decision_patterns(tree, C)
-        for lf in tree.leaf_indices():
-            path = tree.path_features(lf)
-            if not path:
-                continue
-            d = map_patterns_to_cube(path)
-            w = tree.nodes[lf].leaf_weight
-            for r in range(C.shape[0]):
-                pc = int(table.patterns[lf][r])
-                for (key_pc, key_pb), cube in d.entries.items():
-                    if key_pc == pc and not cube.contradictory:
-                        expected[r, path[0]] += w * freqs[lf][key_pb] * cube.weight
-    np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
 def test_threads_do_not_change_results():
@@ -531,65 +492,19 @@ def test_default_row_blocks_match_explicit_ones():
             == default.tobytes()
 
 
-@pytest.mark.parametrize("apply, pairwise", [
-    (lambda cube: [((i,), v) for i, v in cube_shapley(cube)], True),
-    (cube_shapley_iv, False),
-])
-def test_subset_sizes_contradicting_the_pairwise_flag_rejected(apply, pairwise):
-    rng = np.random.default_rng(37)
-    ens = random_ensemble(rng, 1, 3, max_depth=3)
-    with pytest.raises(DimensionError, match="pairwise"):
-        woodelf(ens, random_data(rng, 4, 3), random_data(rng, 3, 3),
-                Metric(apply, pairwise=pairwise))
-
-
-@pytest.mark.parametrize("kind", [MetricKind.SHAPLEY_IV, MetricKind.BANZHAF_IV])
-def test_pairs_in_either_order_are_one_subset(kind):
-    # Reverse some of a pairwise metric's pairs: the cubes with an odd number
-    # of positive variables give (max, min), the others (min, max), so one
-    # pair comes in both orders. Its contributions must add up as one subset.
-    sorted_metric = resolve_metric(kind)
-
-    def apply(cube):
-        flip = len(cube.positive) % 2
-        return [((pair[::-1] if flip else pair), value)
-                for pair, value in sorted_metric.apply(cube)]
-
-    mixed = Metric(apply, pairwise=True)
-    d = map_patterns_to_cube((0, 1, 2))
-    assert set(build_contribution_matrices(d, mixed)) \
-        == set(build_contribution_matrices(d, sorted_metric))
-    rng = np.random.default_rng(38)
-    ens = random_ensemble(rng, 3, 4, max_depth=4)
-    C = random_data(rng, 40, 4)
-    for background in (random_data(rng, 7, 4), None):
-        assert woodelf(ens, C, background, mixed).values.tobytes() \
-            == woodelf(ens, C, background, kind).values.tobytes()
-
-
-def test_pair_of_one_variable_rejected():
-    doubled = Metric(lambda cube: [((0, 0), cube.weight)] if cube.size else [],
-                     pairwise=True)
-    rng = np.random.default_rng(39)
-    ens = random_ensemble(rng, 1, 3, max_depth=3)
-    with pytest.raises(ValueError, match="distinct"):
-        woodelf(ens, random_data(rng, 4, 3), random_data(rng, 3, 3), doubled)
-
-
 def _per_leaf_reference(ens, C, B, kind) -> np.ndarray:
     """The pipeline without blocks: per leaf, a dictionary over the leaf's
     own path features and one score vector per subset, each gathered column
     by column into a row-major output."""
-    metric = resolve_metric(kind)
     h = ens.num_features
-    out = np.zeros((C.shape[0], pair_count(h) if metric.pairwise else h))
+    out = np.zeros((C.shape[0], pair_count(h) if kind.pairwise else h))
     for tree in ens.trees:
         freqs = _per_leaf_background_frequencies(tree, B) if B is not None \
             else path_dependent_frequencies(tree)
         table = calc_decision_patterns(tree, C)
         for lf in tree.leaf_indices():
             d = map_patterns_to_cube(tree.path_features(lf))
-            scores = _score_dict(build_contribution_matrices(d, metric),
+            scores = _score_dict(build_contribution_matrices(d, kind),
                                  freqs[lf], tree.nodes[lf].leaf_weight)
             pats = table.patterns[lf]
             for subset, vec in scores.items():
@@ -780,7 +695,14 @@ def test_path_dependent_without_covers_raises():
 
 
 def test_metric_resolution_accepts_strings_and_kinds():
-    assert resolve_metric("banzhaf").kind is MetricKind.BANZHAF
-    assert resolve_metric(MetricKind.SHAPLEY_IV).pairwise
-    m = shapley_metric()
-    assert resolve_metric(m) is m
+    rng = np.random.default_rng(35)
+    ens = random_ensemble(rng, 2, 3, max_depth=3)
+    C = random_data(rng, 6, 3)
+    B = random_data(rng, 4, 3)
+    for kind in ALL_KINDS:
+        by_kind = woodelf(ens, C, B, kind)
+        by_name = woodelf(ens, C, B, kind.value)
+        assert by_name.metric is kind and by_name.pairwise == kind.pairwise
+        assert by_name.values.tobytes() == by_kind.values.tobytes()
+    with pytest.raises(ValueError):
+        woodelf(ens, C, B, "shapley_iv")

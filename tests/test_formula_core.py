@@ -15,6 +15,8 @@ from woodelf.formula_core import (
     banzhaf,
     banzhaf_iv,
     binomial,
+    cube_banzhaf_iv,
+    cube_shapley_iv,
     evaluate,
     pair_count,
     pair_index,
@@ -168,6 +170,16 @@ def test_wcnf_singles_same_formula_as_wdnf():
 # ---------------------------------------------------------------------------
 # interaction values
 
+# Positives listed after negatives, and each polarity in descending order.
+MIXED_CUBE = Cube((3, 1), (2, 0), 1.5)
+
+
+def _pairs_are_min_max(rule, cubes) -> bool:
+    """Every pair that ``rule`` gives is (min, max): the engine keys its
+    contribution matrices by the pairs as given."""
+    return all(i < j for cube in cubes for (i, j), _ in rule(cube))
+
+
 def test_shapley_iv_single_mixed_cube():
     # One cube (x0 & ~x1): the only pair sits in the mixed cell.
     f = WeightedFormula.wdnf([Cube((0,), (1,), 4.0)], 2)
@@ -186,9 +198,11 @@ def test_shapley_iv_pair_outside_cube_is_zero():
 
 
 def test_shapley_iv_random_matches_oracle():
+    assert _pairs_are_min_max(cube_shapley_iv, [MIXED_CUBE])
     rng = np.random.default_rng(45)
     for _ in range(4):
         f = random_formula(rng, num_vars=4, max_cubes=8)
+        assert _pairs_are_min_max(cube_shapley_iv, f.cubes)
         got = shapley_iv(f).pairs
         expected = exact_attribution(formula_characteristic(f), MetricKind.SHAPLEY_IV)
         np.testing.assert_allclose(got, expected.pairs, atol=1e-9)
@@ -211,9 +225,11 @@ def test_banzhaf_iv_pair_outside_cube_is_zero():
 
 
 def test_banzhaf_iv_random_matches_oracle():
+    assert _pairs_are_min_max(cube_banzhaf_iv, [MIXED_CUBE])
     rng = np.random.default_rng(46)
     for _ in range(4):
         f = random_formula(rng, num_vars=4, max_cubes=8)
+        assert _pairs_are_min_max(cube_banzhaf_iv, f.cubes)
         got = banzhaf_iv(f).pairs
         expected = exact_attribution(formula_characteristic(f), MetricKind.BANZHAF_IV)
         np.testing.assert_allclose(got, expected.pairs, atol=1e-9)

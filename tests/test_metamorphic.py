@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from woodelf.engine import baseline_attributions, woodelf
+from woodelf.engine import woodelf
 from woodelf.formula_core import MetricKind, pair_index
 from woodelf.oracle import PLAYER_CAP
 from woodelf.synth import random_data, random_ensemble
@@ -123,6 +123,6 @@ def test_background_is_the_mean_of_single_baseline_runs(kind, seed, features,
                                                         used, trees, depth):
     _, ens, C, B = _model(seed, features, used, trees, depth)
     together = woodelf(ens, C, B, kind).values
-    separate = np.mean([baseline_attributions(ens, C, row, kind).values
+    separate = np.mean([woodelf(ens, C, row.reshape(1, -1), kind).values
                         for row in B], axis=0)
     np.testing.assert_allclose(together, separate, rtol=0, atol=1e-12)
