@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvtext
 from .engine import woodelf
 from .errors import (
     DataError,
@@ -59,6 +60,8 @@ EXIT_VERIFY = 5
 
 ORACLE_TOLERANCE = 1e-9       # internal cross-checks against the exact oracles
 REFERENCE_TOLERANCE = 1e-5    # comparisons against externally produced values
+_CSV_BLOCK = 4096             # values formatted per block of CSV lines
+_NEWLINE = np.array([ord("\n")], np.uint8)
 
 _METRIC_NAMES = [k.value for k in MetricKind]
 
@@ -242,26 +245,38 @@ def _csv_cell(text: str) -> str:
 
 
 def _write_result(path: str, result, feature_names) -> None:
-    """Write ``result`` as JSON or CSV. CSV lines are built as strings, with
-    each feature name quoted once the way ``csv.writer`` quotes it and each
-    value written as ``repr`` of a Python float."""
+    """Write ``result`` as JSON or CSV. A CSV holds the bytes ``csv.writer``
+    writes for the row ids, the feature names and ``repr`` of each value.
+    ``csvtext`` builds them a block of about ``_CSV_BLOCK`` values at a time:
+    each value follows its head, which is "," in the one-row-per-consumer
+    layout and ",<feature_i>,<feature_j>," in the one-row-per-pair layout."""
     names = list(feature_names)
     if path.endswith(".json"):
         _write_json(path, result, names)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if result.pairwise:
-            fh.write("row_id,feature_i,feature_j,value\n")
-            cells = [_csv_cell(name) for name in names]
-            heads = [f"{cells[i]},{cells[j]},"
-                     for i, j in itertools.combinations(range(len(names)), 2)]
-            for r in range(result.values.shape[0]):
-                fh.write("".join(f"{r},{head}{v!r}\n"
-                                 for head, v in zip(heads, result.values[r].tolist())))
-        else:
-            csv.writer(fh, lineterminator="\n").writerow(["row_id"] + names)
-            for r in range(result.values.shape[0]):
-                fh.write(",".join([str(r), *map(repr, result.values[r].tolist())]) + "\n")
+    values = result.values
+    n, width = values.shape
+    cells = [_csv_cell(name) for name in names]
+    if result.pairwise:
+        header = "row_id,feature_i,feature_j,value"
+        heads = csvtext.text_field(
+            [f",{cells[i]},{cells[j]}," for i, j in itertools.combinations(range(len(names)), 2)])
+    else:
+        header = ",".join(["row_id", *cells])
+        heads = np.full((width, 1), ord(","), np.uint8)
+    rows = max(1, _CSV_BLOCK // max(width, 1))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
+        for start in range(0, n, rows):
+            block = values[start:start + rows]
+            ids = csvtext.text_field(map(str, range(start, start + len(block))))
+            texts = csvtext.repr_field(block)
+            texts = texts.reshape(len(block), width, texts.shape[-1])
+            if result.pairwise:
+                fh.write(csvtext.pack(ids[:, None, :], heads, texts, _NEWLINE))
+            else:
+                row_cells = csvtext.join(heads, texts).reshape(len(block), -1)
+                fh.write(csvtext.pack(ids, row_cells, _NEWLINE))
 
 
 def _write_json(path: str, result, names) -> None:
@@ -430,24 +445,28 @@ def _reference_check(path: str) -> Check:
         model = doc["model"]
         metric = MetricKind(doc["metric"])
         consumers = np.asarray(doc["consumers"], dtype=np.float64)
-    except (KeyError, ValueError) as exc:
+        mode = doc.get("mode", "background" if "background" in doc else "path-dependent")
+        background = None
+        if mode == "baseline":
+            background = np.asarray(doc["baseline_row"], dtype=np.float64).reshape(1, -1)
+        elif mode == "background":
+            background = np.asarray(doc["background"], dtype=np.float64)
+        if metric.pairwise:
+            pairs = [(int(row_id), int(i), int(j), float(value))
+                     for row_id, i, j, value in doc["pairs"]]
+        else:
+            expected = np.asarray(doc["values"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed reference file: {exc}") from exc
     ensemble = validate_ensemble(model_from_dict(model)) if isinstance(model, dict) \
         else load_model(model)
-    mode = doc.get("mode", "background" if "background" in doc else "path-dependent")
-    background = None
-    if mode == "baseline":
-        background = np.asarray(doc["baseline_row"], dtype=np.float64).reshape(1, -1)
-    elif mode == "background":
-        background = np.asarray(doc["background"], dtype=np.float64)
     result = woodelf(ensemble, consumers, background, metric)
     if metric.pairwise:
         worst = 0.0
-        for row_id, i, j, value in doc["pairs"]:
-            got = result.pair_values(int(i), int(j))[int(row_id)]
-            worst = max(worst, abs(float(got) - float(value)))
+        for row_id, i, j, value in pairs:
+            got = result.pair_values(i, j)[row_id]
+            worst = max(worst, abs(float(got) - value))
     else:
-        expected = np.asarray(doc["values"], dtype=np.float64)
         if expected.shape != result.values.shape:
             raise DataError(
                 f"{path}: expected values have shape {expected.shape}, "

@@ -1,11 +1,13 @@
 import csv
+import io
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from woodelf.cli import main
-from woodelf.engine import woodelf
+from woodelf.cli import _write_result, main
+from woodelf.engine import BatchAttribution, woodelf
 from woodelf.formula_core import MetricKind
 from woodelf.oracle import exact_attribution, tree_characteristic
 from woodelf.synth import random_data, random_ensemble
@@ -128,6 +130,47 @@ def test_compute_csv_matches_csv_writer_bytes(tmp_path, metric):
                 for col, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
                     writer.writerow([r, names[i], names[j], repr(float(values[r, col]))])
     assert out.read_bytes() == expected.read_bytes()
+
+
+def _csv_writer_bytes(names, values, pairwise):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if pairwise:
+        writer.writerow(["row_id", "feature_i", "feature_j", "value"])
+        pairs = list(itertools.combinations(range(len(names)), 2))
+        for r in range(values.shape[0]):
+            for col, (i, j) in enumerate(pairs):
+                writer.writerow([r, names[i], names[j], repr(float(values[r, col]))])
+    else:
+        writer.writerow(["row_id"] + names)
+        for r in range(values.shape[0]):
+            writer.writerow([r] + [repr(float(v)) for v in values[r]])
+    return buf.getvalue().encode("utf-8")
+
+
+CRAFTED = [1e-7, 1e20, -0.0, 0.0, 5e-324, 3.0, -42.0, 1e16, 2.0**53, 0.1, 1e-5,
+           12345.678, 1e-4, 123456789012345.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("metric", [MetricKind.SHAPLEY, MetricKind.SHAPLEY_IV])
+@pytest.mark.parametrize("rows, names", [
+    (4, ['we,ird "name"', "naïve €", "multi\nline", "plain", ""]),
+    (10_000, ['we,ird "name"', "naïve €", "plain"]),
+    (3, ["solo"]),
+])
+def test_write_result_matches_csv_writer_and_repr(tmp_path, metric, rows, names):
+    """Both CSV layouts equal csv.writer over repr of each value, byte for
+    byte: crafted values, names that need quoting or are not ASCII, and
+    10,000 rows, which span several blocks and row ids of 1 to 4 digits."""
+    h = len(names)
+    width = h * (h - 1) // 2 if metric.pairwise else h
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-20, 20, (rows, width))
+    spots = rng.choice(values.size, size=min(len(CRAFTED), values.size), replace=False)
+    values.flat[spots] = CRAFTED[:spots.size]
+    out = tmp_path / "out.csv"
+    _write_result(str(out), BatchAttribution(metric, h, values), names)
+    assert out.read_bytes() == _csv_writer_bytes(names, values, metric.pairwise)
 
 
 def test_compute_json_mirrors_csv(toy):
@@ -381,3 +424,19 @@ def test_selftest_detects_corrupted_reference(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 5
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("mode, missing", [("baseline", "baseline_row"),
+                                           ("background", "values")])
+def test_reference_file_missing_key_exits_4(tmp_path, capsys, mode, missing):
+    doc = _reference_doc(MetricKind.SHAPLEY)
+    doc["mode"] = mode
+    if mode == "baseline":
+        doc["baseline_row"] = doc["background"][0]
+    del doc[missing]
+    ref = tmp_path / "reference.json"
+    ref.write_text(json.dumps(doc))
+    code = main(["selftest", "--formulas", "2", "--pipelines", "1",
+                 "--reference", str(ref)])
+    assert code == 4
+    assert f"'{missing}'" in capsys.readouterr().err
