@@ -29,26 +29,21 @@ from .errors import (
     VerificationError,
     WoodelfError,
 )
-from .formula_core import (
-    FORMULA_METRICS,
-    Cube,
-    Form,
-    MetricKind,
-    WeightedFormula,
-    banzhaf,
-    evaluate,
-    shapley,
-)
+from .formula_core import Cube, MetricKind
 from . import oracle
-from .synth import random_data, random_ensemble, random_formula
+from .synth import random_data, random_ensemble
 from .tree_model import (
     DEFAULT_DEPTH_CAP,
     HARD_DEPTH_CAP,
     DataMatrix,
+    Tree,
     TreeEnsemble,
+    inner,
+    leaf,
     load_data,
     load_model,
     model_from_dict,
+    predict,
     validate_ensemble,
 )
 
@@ -93,13 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check N sampled rows against the exact oracle")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("selftest", help="run the built-in golden/oracle suite",
+    p = sub.add_parser("selftest",
+                       help="check the pipeline against golden values and the "
+                            "exact oracles",
                        allow_abbrev=False)
     p.add_argument("--reference",
                    help="JSON file of externally produced values to enforce "
                         f"at {REFERENCE_TOLERANCE:g} absolute")
-    p.add_argument("--formulas", type=int, default=40,
-                   help="random formulas for the oracle equivalence check")
     p.add_argument("--pipelines", type=int, default=6,
                    help="random ensembles for the pipeline oracle check")
     p.set_defaults(func=cmd_selftest)
@@ -311,23 +306,41 @@ def _write_json(path: str, result, names) -> None:
 # ---------------------------------------------------------------------------
 # selftest
 
-# The golden formula 3(~x0) + 5(x0 & ~x2) + 2(x1 & x2 & ~x0), its
-# hand-checked Shapley and Banzhaf values, and a different cube list that
-# computes the same function on every assignment.
-GOLDEN_FORMULA = WeightedFormula.wdnf([
-    Cube((), (0,), 3.0),
-    Cube((0,), (2,), 5.0),
-    Cube((1, 2), (0,), 2.0),
-], num_vars=3)
-GOLDEN_SHAPLEY = np.array([-7.0 / 6.0, 1.0 / 3.0, -13.0 / 6.0])
-GOLDEN_BANZHAF = np.array([-1.0, 0.5, -2.0])
-GOLDEN_EQUIVALENT = WeightedFormula.wdnf([
+# The golden game 3(~x0) + 5(x0 & ~x2) + 2(x1 & x2 & ~x0), a different cube
+# list that computes the same function on every assignment, and the game's
+# hand-checked Shapley and Banzhaf values.
+GOLDEN_CUBES = (Cube((), (0,), 3.0), Cube((0,), (2,), 5.0), Cube((1, 2), (0,), 2.0))
+GOLDEN_EQUIVALENT = (
     Cube((0,), (), 5.0),
     Cube((2,), (), -5.0),
     Cube((), (0, 2), 3.0),
     Cube((2,), (0,), 10.0),
     Cube((2,), (0, 1), -2.0),
-], num_vars=3)
+)
+GOLDEN_SHAPLEY = np.array([-7.0 / 6.0, 1.0 / 3.0, -13.0 / 6.0])
+GOLDEN_BANZHAF = np.array([-1.0, 0.5, -2.0])
+
+
+def cube_ensemble(cubes) -> TreeEnsemble:
+    """One chain tree per cube over the goldens' three features, whose game
+    with the consumer at 1.0 and the baseline at 0.0 on every feature is the
+    cube list's. Each literal splits its feature at 0.5; the side that
+    satisfies it continues down the chain, the other is a 0 leaf, and the
+    chain ends in a leaf of the cube's weight."""
+    trees = []
+    for cube in cubes:
+        nodes = []
+        literals = [(i, True) for i in cube.positive] + [(i, False) for i in cube.negative]
+        for feature, positive in literals:
+            # Split k holds at 1.0 (right) for a positive literal and at 0.0
+            # (left) for a negated one; the other side is the 0 leaf k + 1,
+            # and the chain goes on at k + 2.
+            k = len(nodes)
+            left, right = (k + 1, k + 2) if positive else (k + 2, k + 1)
+            nodes += [inner(feature, 0.5, left, right), leaf(0.0)]
+        nodes.append(leaf(cube.weight))
+        trees.append(Tree(tuple(nodes), 0))
+    return TreeEnsemble(tuple(trees), 3)
 
 
 @dataclass
@@ -335,7 +348,7 @@ class Check:
     name: str
     value: float
     limit: float
-    require_above: bool = False  # True: value must exceed limit (separation checks)
+    require_above: bool = False  # True: value must exceed limit (negative controls)
 
     @property
     def passed(self) -> bool:
@@ -343,43 +356,34 @@ class Check:
 
 
 def _golden_checks() -> list[Check]:
-    f = GOLDEN_FORMULA
-    phi = shapley(f).singles
-    beta = banzhaf(f).singles
-    span = evaluate(f, [1, 1, 1]) - evaluate(f, [0, 0, 0])
-    checks = [
-        Check("golden shapley values", float(np.max(np.abs(phi - GOLDEN_SHAPLEY))), 1e-12),
-        Check("golden banzhaf values", float(np.max(np.abs(beta - GOLDEN_BANZHAF))), 1e-12),
-        Check("shapley efficiency (sum = span)", abs(float(phi.sum()) - span), 1e-12),
+    """The goldens through ``woodelf()``, on the chain-tree ensembles of
+    ``cube_ensemble`` with a single all-zeros baseline."""
+    consumer, baseline = np.ones((1, 3)), np.zeros((1, 3))
+
+    def values(cubes, kind: MetricKind) -> np.ndarray:
+        return woodelf(cube_ensemble(cubes), consumer, baseline, kind).values[0]
+
+    def deviation(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.max(np.abs(a - b)))
+
+    golden = cube_ensemble(GOLDEN_CUBES)
+    span = predict(golden, consumer[0]) - predict(golden, baseline[0])
+    phi = values(GOLDEN_CUBES, MetricKind.SHAPLEY)
+    beta = values(GOLDEN_CUBES, MetricKind.BANZHAF)
+    heavier = (Cube((), (0,), 4.0),) + GOLDEN_CUBES[1:]
+    return [
+        Check("golden shapley values", deviation(phi, GOLDEN_SHAPLEY), 1e-12),
+        Check("golden banzhaf values", deviation(beta, GOLDEN_BANZHAF), 1e-12),
+        Check("shapley efficiency (sum = prediction difference)",
+              abs(float(phi.sum()) - span), 1e-12),
+        Check("robustness: equivalent ensemble, same shapley",
+              deviation(values(GOLDEN_EQUIVALENT, MetricKind.SHAPLEY), phi), 1e-12),
+        Check("robustness: equivalent ensemble, same banzhaf",
+              deviation(values(GOLDEN_EQUIVALENT, MetricKind.BANZHAF), beta), 1e-12),
+        Check("changed leaf weight moves shapley (must differ)",
+              deviation(values(heavier, MetricKind.SHAPLEY), phi), 1e-6,
+              require_above=True),
     ]
-    g = GOLDEN_EQUIVALENT
-    checks.append(Check(
-        "robustness: equivalent formula, same shapley",
-        float(np.max(np.abs(shapley(g).singles - phi))), 1e-12))
-    checks.append(Check(
-        "robustness: equivalent formula, same banzhaf",
-        float(np.max(np.abs(banzhaf(g).singles - beta))), 1e-12))
-    checks.append(Check(
-        "weight-difference separation (must differ)",
-        float(np.max(np.abs(oracle.weight_difference(g) - oracle.weight_difference(f)))),
-        0.0, require_above=True))
-    return checks
-
-
-def _formula_oracle_check(count: int, seed: int = 11) -> Check:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for trial in range(count):
-        form = Form.WDNF if trial % 2 == 0 else Form.WCNF
-        f = random_formula(rng, num_vars=int(rng.integers(1, 11)),
-                           max_cubes=12, form=form)
-        cf = oracle.formula_characteristic(f)
-        for kind, fast_metric in FORMULA_METRICS.items():
-            fast = fast_metric(f).values
-            ref = oracle.exact_attribution(cf, kind).values
-            if ref.size:
-                worst = max(worst, float(np.max(np.abs(fast - ref))))
-    return Check(f"{count} random formulas vs exact oracles", worst, ORACLE_TOLERANCE)
 
 
 def _pipeline_oracle_check(count: int, seed: int = 23) -> list[Check]:
@@ -477,7 +481,6 @@ def _reference_check(path: str) -> Check:
 
 def cmd_selftest(args) -> int:
     checks = _golden_checks()
-    checks.append(_formula_oracle_check(args.formulas))
     checks.extend(_pipeline_oracle_check(args.pipelines))
     if args.reference:
         checks.append(_reference_check(args.reference))

@@ -318,11 +318,11 @@ def woodelf(ensemble: TreeEnsemble,
             block_size: int | None = None) -> BatchAttribution:
     """Attributions of every consumer row under the requested metric.
 
-    ``metric`` is a ``MetricKind`` or its name. A present, non-empty
-    ``background`` selects background mode, and a one-row background is a
-    single baseline; otherwise the ensemble's covers drive path-dependent
-    mode. Interaction metrics fill unordered pairs only. Stage wall times
-    are reported in ``timings``.
+    ``metric`` is a ``MetricKind`` or its name. A ``background`` selects
+    background mode, and a one-row background is a single baseline; an empty
+    one raises ``ModeError``. With ``background=None`` the ensemble's covers
+    drive path-dependent mode. Interaction metrics fill unordered pairs
+    only. Stage wall times are reported in ``timings``.
 
     Each tree's score tables are built once: one (columns x keys) table per
     height-2 subtree block, of 2^(key bits) floats a column, where a block's
@@ -353,7 +353,8 @@ def woodelf(ensemble: TreeEnsemble,
         if B.shape[1] != h:
             raise DimensionError(f"background has {B.shape[1]} columns, expected {h}")
         if B.shape[0] == 0:
-            B = None  # empty background falls back to path-dependent mode
+            raise ModeError("background mode requires at least one background row; "
+                            "pass background=None for path-dependent mode")
     width = pair_count(h) if metric.pairwise else h
     if block_size is None:
         block_size = gather_block_rows(width)

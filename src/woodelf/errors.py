@@ -9,12 +9,8 @@ class WoodelfError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class FormError(WoodelfError, ValueError):
-    """An operation received a formula of the wrong form (WDNF vs WCNF)."""
-
-
 class DimensionError(WoodelfError, ValueError):
-    """Vector/matrix sizes do not line up (assignment length, row width, ...)."""
+    """Vector/matrix sizes do not line up (row width, matrix size, ...)."""
 
 
 class ModelSchemaError(WoodelfError, ValueError):

@@ -1,29 +1,21 @@
-"""Weighted DNF/CNF pseudo-Boolean formulas and their game-theoretic attribution.
+"""Per-cube attribution shares, and the packed layout of attribution values.
 
-A formula is a weighted sum of cubes (conjunctions of literals) or clauses
-(disjunctions of literals) over Boolean variables 0..h-1, plus a constant
-offset. Treating variables as players and the formula value as the game's
-payoff, Shapley and Banzhaf values and their pairwise interaction values are
-computed in a single pass over the cube list: each cube contributes a closed
-form share to exactly the variables it mentions.
+Every (leaf, consumer, baseline) triple of a tree ensemble reduces to one
+weighted cube: a conjunction of literals over the features, worth the leaf's
+weight when it holds. Treating features as players, each cube contributes a
+closed-form Shapley or Banzhaf share, or pairwise interaction share, to
+exactly the variables it mentions (``cube_shapley``, ``cube_banzhaf``,
+``cube_shapley_iv``, ``cube_banzhaf_iv``); the pipeline in ``engine`` sums
+them into its contribution matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-from .errors import DimensionError, FormError
-
-
-class Form(Enum):
-    """Whether the weighted terms are conjunctions (WDNF) or disjunctions (WCNF)."""
-
-    WDNF = "wdnf"
-    WCNF = "wcnf"
 
 
 class MetricKind(Enum):
@@ -54,8 +46,7 @@ class Cube:
 
     Duplicate ids within a polarity collapse to one occurrence (the signed
     sets are sets). A cube mentioning some variable in both polarities is
-    contradictory: identically false as a conjunction, identically true as a
-    clause. Contradictory cubes are flagged and stripped by ``preprocess``.
+    contradictory: identically false, so it carries no attribution.
     """
 
     positive: tuple[int, ...]
@@ -75,84 +66,6 @@ class Cube:
     def size(self) -> int:
         """Number of distinct variables mentioned (|S|)."""
         return len(self.positive) + len(self.negative)
-
-    def variables(self) -> tuple[int, ...]:
-        return self.positive + self.negative
-
-    def scaled(self, factor: float) -> "Cube":
-        return Cube(self.positive, self.negative, self.weight * factor)
-
-
-@dataclass(frozen=True)
-class WeightedFormula:
-    """A weighted sum of cubes (WDNF) or clauses (WCNF) plus a constant offset."""
-
-    cubes: tuple[Cube, ...]
-    num_vars: int
-    form: Form = Form.WDNF
-    offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cubes", tuple(self.cubes))
-        object.__setattr__(self, "num_vars", int(self.num_vars))
-        object.__setattr__(self, "offset", float(self.offset))
-        for cube in self.cubes:
-            for v in cube.variables():
-                if not 0 <= v < self.num_vars:
-                    raise DimensionError(
-                        f"variable id {v} out of range for num_vars={self.num_vars}"
-                    )
-
-    @classmethod
-    def wdnf(cls, cubes: Iterable[Cube], num_vars: int | None = None,
-             offset: float = 0.0) -> "WeightedFormula":
-        return cls._build(cubes, num_vars, Form.WDNF, offset)
-
-    @classmethod
-    def wcnf(cls, cubes: Iterable[Cube], num_vars: int | None = None,
-             offset: float = 0.0) -> "WeightedFormula":
-        return cls._build(cubes, num_vars, Form.WCNF, offset)
-
-    @classmethod
-    def _build(cls, cubes, num_vars, form, offset):
-        cubes = tuple(cubes)
-        if num_vars is None:
-            num_vars = 1 + max((max(c.variables()) for c in cubes if c.size), default=-1)
-        return cls(cubes, num_vars, form, offset)
-
-
-def preprocess(formula: WeightedFormula) -> WeightedFormula:
-    """Strip contradictory terms.
-
-    As conjunctions they are identically false and simply dropped; as clauses
-    they are identically true, so their weights move into the constant offset.
-    Constant terms never carry attribution, so metrics are unchanged.
-    """
-    kept = tuple(c for c in formula.cubes if not c.contradictory)
-    offset = formula.offset
-    if formula.form is Form.WCNF:
-        offset += sum(c.weight for c in formula.cubes if c.contradictory)
-    return replace(formula, cubes=kept, offset=offset)
-
-
-def evaluate(formula: WeightedFormula, assignment: Sequence[int]) -> float:
-    """Evaluate the formula on a 0/1 assignment of length ``num_vars``."""
-    x = np.asarray(assignment)
-    if x.ndim != 1 or x.shape[0] != formula.num_vars:
-        raise DimensionError(
-            f"assignment has length {x.shape[0] if x.ndim == 1 else x.shape}, "
-            f"expected {formula.num_vars}"
-        )
-    total = formula.offset
-    conjunctive = formula.form is Form.WDNF
-    for cube in formula.cubes:
-        if conjunctive:
-            sat = all(x[i] for i in cube.positive) and not any(x[i] for i in cube.negative)
-        else:
-            sat = any(x[i] for i in cube.positive) or not all(x[i] for i in cube.negative)
-        if sat:
-            total += cube.weight
-    return float(total)
 
 
 def binomial(n: int, k: int) -> float:
@@ -285,110 +198,5 @@ class AttributionResult:
         """``singles`` for a single-variable metric, else ``pairs``."""
         return self.singles if self.singles is not None else self.pairs
 
-    def single(self, i: int) -> float:
-        return float(self.singles[i])
-
     def pair(self, i: int, j: int) -> float:
         return float(self.pairs[pair_index(i, j, self.num_vars)])
-
-    def singles_map(self) -> dict[int, float]:
-        return {i: float(v) for i, v in enumerate(self.singles)}
-
-    def pairs_map(self) -> dict[tuple[int, int], float]:
-        h = self.num_vars
-        return {
-            (i, j): float(self.pairs[pair_index(i, j, h)])
-            for i in range(h) for j in range(i + 1, h)
-        }
-
-    def pairs_matrix(self) -> np.ndarray:
-        """Expand the packed pairs into the full symmetric matrix (zero diagonal)."""
-        h = self.num_vars
-        out = np.zeros((h, h))
-        iu = np.triu_indices(h, k=1)
-        out[iu] = self.pairs
-        out[(iu[1], iu[0])] = self.pairs
-        return out
-
-
-def _skip_contradictory(formula: WeightedFormula) -> Iterable[Cube]:
-    # Equivalent to running preprocess first: contradictory terms never carry
-    # attribution and the WCNF offset is metric-neutral.
-    return (c for c in formula.cubes if not c.contradictory)
-
-
-def shapley(formula: WeightedFormula) -> AttributionResult:
-    """Shapley value of every variable, linear in total formula length.
-
-    The same per-cube shares apply verbatim to clauses: rewriting a weighted
-    clause as a constant plus a negated cube flips both the weight sign and
-    the polarities, and the two flips cancel.
-    """
-    singles = np.zeros(formula.num_vars)
-    for cube in _skip_contradictory(formula):
-        for i, v in cube_shapley(cube):
-            singles[i] += v
-    return AttributionResult(MetricKind.SHAPLEY, formula.num_vars, singles=singles)
-
-
-def banzhaf(formula: WeightedFormula) -> AttributionResult:
-    """Banzhaf value of every variable; clause input needs no adjustment."""
-    singles = np.zeros(formula.num_vars)
-    for cube in _skip_contradictory(formula):
-        for i, v in cube_banzhaf(cube):
-            singles[i] += v
-    return AttributionResult(MetricKind.BANZHAF, formula.num_vars, singles=singles)
-
-
-def shapley_iv(formula: WeightedFormula) -> AttributionResult:
-    """Shapley interaction value of every unordered variable pair.
-
-    Clause input flips the sign of every cell: rewriting a clause as a
-    negated cube swaps polarities and negates the weight, and same-polarity
-    cells keep their sign under the polarity swap, so the weight negation
-    survives (unlike the single-variable case, where the two flips cancel).
-    """
-    sign = -1.0 if formula.form is Form.WCNF else 1.0
-    h = formula.num_vars
-    pairs = np.zeros(pair_count(h))
-    for cube in _skip_contradictory(formula):
-        for (i, j), v in cube_shapley_iv(cube):
-            pairs[pair_index(i, j, h)] += sign * v
-    return AttributionResult(MetricKind.SHAPLEY_IV, h, pairs=pairs)
-
-
-def banzhaf_iv(formula: WeightedFormula) -> AttributionResult:
-    """Banzhaf interaction value of every unordered variable pair."""
-    sign = -1.0 if formula.form is Form.WCNF else 1.0
-    h = formula.num_vars
-    pairs = np.zeros(pair_count(h))
-    for cube in _skip_contradictory(formula):
-        for (i, j), v in cube_banzhaf_iv(cube):
-            pairs[pair_index(i, j, h)] += sign * v
-    return AttributionResult(MetricKind.BANZHAF_IV, h, pairs=pairs)
-
-
-# The formula attribution of each metric kind.
-FORMULA_METRICS = {
-    MetricKind.SHAPLEY: shapley,
-    MetricKind.BANZHAF: banzhaf,
-    MetricKind.SHAPLEY_IV: shapley_iv,
-    MetricKind.BANZHAF_IV: banzhaf_iv,
-}
-
-
-def wcnf_to_wdnf(formula: WeightedFormula) -> WeightedFormula:
-    """Rewrite a sum of weighted clauses as an equivalent sum of weighted cubes.
-
-    Each weighted clause ``w * psi`` becomes the constant ``w`` plus the cube
-    ``-w * not(psi)`` with literal polarities flipped, so the result evaluates
-    identically on every assignment. Constants accumulate in the offset.
-    """
-    if formula.form is not Form.WCNF:
-        raise FormError("wcnf_to_wdnf expects a WCNF formula")
-    offset = formula.offset
-    cubes = []
-    for clause in formula.cubes:
-        offset += clause.weight
-        cubes.append(Cube(clause.negative, clause.positive, -clause.weight))
-    return WeightedFormula(tuple(cubes), formula.num_vars, Form.WDNF, offset)

@@ -15,15 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ModeError
-from .formula_core import (
-    AttributionResult,
-    Form,
-    MetricKind,
-    WeightedFormula,
-    evaluate,
-    pair_count,
-    pair_index,
-)
+from .formula_core import AttributionResult, MetricKind, pair_count, pair_index
 from .tree_model import Tree, TreeEnsemble, as_matrix, predict_batch
 
 PLAYER_CAP = 20
@@ -187,35 +179,7 @@ def exact_attribution(cf: CharacteristicFunction, kind: MetricKind) -> Attributi
 
 
 # ---------------------------------------------------------------------------
-# Characteristic functions of the objects this package attributes
-
-def formula_characteristic(formula: WeightedFormula) -> CharacteristicFunction:
-    """The game induced by a formula: participants are set to 1, others to 0."""
-    h = formula.num_vars
-
-    def evaluator(subset: frozenset) -> float:
-        x = np.zeros(h)
-        if subset:
-            x[list(subset)] = 1.0
-        return evaluate(formula, x)
-
-    def table_fn() -> np.ndarray:
-        # Same semantics as evaluate(), batched over all bitmask assignments.
-        masks = np.arange(1 << h, dtype=np.int64)
-        total = np.full(masks.shape, formula.offset)
-        conjunctive = formula.form is Form.WDNF
-        for cube in formula.cubes:
-            pos = sum(1 << i for i in cube.positive)
-            neg = sum(1 << i for i in cube.negative)
-            if conjunctive:
-                sat = ((masks & pos) == pos) & ((masks & neg) == 0)
-            else:
-                sat = ((masks & pos) != 0) | ((masks & neg) != neg)
-            total = total + np.where(sat, cube.weight, 0.0)
-        return total
-
-    return CharacteristicFunction(evaluator, h, table_fn)
-
+# Characteristic functions of tree ensembles
 
 def tree_characteristic(ensemble: TreeEnsemble, consumer_row,
                         background) -> CharacteristicFunction:
@@ -317,19 +281,3 @@ def ensemble_pd_characteristic(ensemble: TreeEnsemble, consumer_row) -> Characte
         return total
 
     return CharacteristicFunction(evaluator, ensemble.num_features, table_fn)
-
-
-def weight_difference(formula: WeightedFormula) -> np.ndarray:
-    """Signed weight totals per variable: positive occurrences minus negated.
-
-    A deliberately crude statistic. Unlike the Shapley/Banzhaf formulas it is
-    not invariant across equivalent formulas; it exists as a negative control
-    in tests.
-    """
-    out = np.zeros(formula.num_vars)
-    for cube in formula.cubes:
-        for i in cube.positive:
-            out[i] += cube.weight
-        for i in cube.negative:
-            out[i] -= cube.weight
-    return out

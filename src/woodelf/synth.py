@@ -1,4 +1,4 @@
-"""Random formulas, trees, and data for tests, benchmarks, and self-checks.
+"""Random trees, ensembles and data for tests, benchmarks, and self-checks.
 
 Everything is driven by an explicit numpy Generator so runs are reproducible.
 """
@@ -7,29 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .formula_core import Cube, Form, WeightedFormula
 from .tree_model import Tree, TreeEnsemble, TreeNode, inner, leaf
-
-
-def random_formula(rng: np.random.Generator, num_vars: int, max_cubes: int,
-                   form: Form = Form.WDNF,
-                   allow_contradictions: bool = True) -> WeightedFormula:
-    """A random weighted formula; cubes may repeat variables across polarities
-    (contradictory terms) unless disabled."""
-    cubes = []
-    for _ in range(int(rng.integers(1, max_cubes + 1))):
-        size = int(rng.integers(0, num_vars + 1))
-        if allow_contradictions:
-            pos_ids = rng.integers(0, num_vars, size=size)
-            neg_ids = rng.integers(0, num_vars, size=int(rng.integers(0, num_vars + 1)))
-        else:
-            ids = rng.permutation(num_vars)[:size]
-            cut = int(rng.integers(0, size + 1)) if size else 0
-            pos_ids, neg_ids = ids[:cut], ids[cut:]
-        weight = float(rng.uniform(0.5, 5.0)) * (1 if rng.random() < 0.5 else -1)
-        cubes.append(Cube(tuple(int(i) for i in pos_ids),
-                          tuple(int(i) for i in neg_ids), weight))
-    return WeightedFormula(tuple(cubes), num_vars, form)
 
 
 def random_tree(rng: np.random.Generator, num_features: int, max_depth: int,

@@ -301,25 +301,22 @@ def predict_batch(ensemble: TreeEnsemble, data) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Model ingestion
 
-_NATIVE_FORMATS = {"native", "native-json"}
-_XGB_FORMATS = {"xgb", "xgboost", "xgboost-dump"}
-
-
-def load_model(path: str, format: str = "native-json",
+def load_model(path: str, format: str = "native",
                depth_cap: int = DEFAULT_DEPTH_CAP,
                feature_names: Sequence[str] | None = None) -> TreeEnsemble:
     """Load and validate an ensemble from a JSON model dump.
 
-    ``native-json`` is this package's own schema; ``xgboost-dump`` is the
+    ``format`` is ``native``, this package's own schema, or ``xgb``, the
     per-tree JSON emitted by boosted-tree dumps (``f<k>`` feature references,
-    ``split_condition`` thresholds, optional ``cover`` stats). The booster
-    dump's ``yes`` branch tests strict ``<`` and is normalized to "left".
+    ``split_condition`` thresholds, optional ``cover`` stats); any other name
+    raises ``ModelSchemaError``. The booster dump's ``yes`` branch tests
+    strict ``<`` and is normalized to "left".
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if format in _NATIVE_FORMATS:
+    if format == "native":
         ensemble = _parse_native(text)
-    elif format in _XGB_FORMATS:
+    elif format == "xgb":
         ensemble = _parse_xgboost_dump(text, feature_names)
     else:
         raise ModelSchemaError(f"unknown model format {format!r}")

@@ -3,27 +3,21 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from woodelf.cli import (  # noqa: F401 (the value arrays are re-exported)
+from woodelf.cli import (  # noqa: F401 (re-exported to the tests)
     GOLDEN_BANZHAF,
+    GOLDEN_CUBES,
     GOLDEN_EQUIVALENT,
-    GOLDEN_FORMULA,
     GOLDEN_SHAPLEY,
+)
+from woodelf.formula_core import (
+    Cube,
+    cube_banzhaf_iv,
+    cube_shapley_iv,
+    pair_count,
+    pair_index,
 )
 from woodelf.oracle import CharacteristicFunction
 from woodelf.tree_model import Tree, TreeEnsemble, inner, leaf
-
-
-@pytest.fixture
-def golden_formula():
-    """3(~x0) + 5(x0 & ~x2) + 2(x1 & x2 & ~x0); known values in the tests."""
-    return GOLDEN_FORMULA
-
-
-@pytest.fixture
-def equivalent_formula():
-    """A different cube list computing exactly the same function as
-    golden_formula on every assignment."""
-    return GOLDEN_EQUIVALENT
 
 
 @pytest.fixture
@@ -88,6 +82,57 @@ def cf_from_table(table: np.ndarray, num_players: int) -> CharacteristicFunction
         return float(table[mask])
 
     return CharacteristicFunction(evaluator, num_players)
+
+
+# ---------------------------------------------------------------------------
+# Cube lists: the game of a weighted sum of cubes, and a ``cube_*`` rule
+# summed over one, which the exact oracles check the rules against.
+
+def cube_game(cubes, h: int) -> CharacteristicFunction:
+    """The game over players 0..h-1 whose payoff is the total weight of the
+    cubes with every positive variable playing and every negated one not."""
+    terms = [(sum(1 << i for i in c.positive), sum(1 << i for i in c.negative), c.weight)
+             for c in cubes]
+
+    def evaluator(subset):
+        mask = sum(1 << i for i in subset)
+        return sum(w for pos, neg, w in terms if mask & pos == pos and not mask & neg)
+
+    def table_fn():
+        masks = np.arange(1 << h, dtype=np.int64)
+        total = np.zeros(1 << h)
+        for pos, neg, w in terms:
+            total += np.where(((masks & pos) == pos) & ((masks & neg) == 0), w, 0.0)
+        return total
+
+    return CharacteristicFunction(evaluator, h, table_fn)
+
+
+def cube_values(rule, cubes, h: int) -> np.ndarray:
+    """``rule`` summed over the cubes: h per-variable values, or for the
+    pairwise rules the pairs in ``pair_index``'s packed layout."""
+    pairwise = rule in (cube_shapley_iv, cube_banzhaf_iv)
+    out = np.zeros(pair_count(h) if pairwise else h)
+    for cube in cubes:
+        for key, value in rule(cube):
+            out[pair_index(*key, h) if pairwise else key] += value
+    return out
+
+
+def random_cubes(rng: np.random.Generator, h: int, max_cubes: int) -> list[Cube]:
+    """1..max_cubes cubes over variables 0..h-1, weights of either sign;
+    about one in five mentions a variable in both polarities."""
+    cubes = []
+    for _ in range(int(rng.integers(1, max_cubes + 1))):
+        ids = rng.permutation(h)[:int(rng.integers(0, h + 1))].tolist()
+        cut = int(rng.integers(0, len(ids) + 1))
+        pos, neg = ids[:cut], ids[cut:]
+        if ids and rng.random() < 0.2:
+            pos.append(ids[-1])
+            neg.append(ids[-1])
+        weight = float(rng.uniform(0.5, 5.0)) * float(rng.choice((-1.0, 1.0)))
+        cubes.append(Cube(tuple(pos), tuple(neg), weight))
+    return cubes
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from woodelf.cli import GOLDEN_EQUIVALENT, GOLDEN_FORMULA, main
+from woodelf.cli import GOLDEN_CUBES, GOLDEN_EQUIVALENT, cube_ensemble, main
 from woodelf.cube_mapping import map_patterns_to_cube
 from woodelf.engine import (
     build_contribution_matrices,
@@ -21,22 +21,22 @@ from woodelf.engine import (
     woodelf,
 )
 from woodelf.formula_core import (
-    FORMULA_METRICS,
-    Form,
+    Cube,
     MetricKind,
-    banzhaf,
-    evaluate,
-    shapley,
+    cube_banzhaf,
+    cube_banzhaf_iv,
+    cube_shapley,
+    cube_shapley_iv,
 )
 from woodelf.oracle import (
     ensemble_pd_characteristic,
     exact_attribution,
-    formula_characteristic,
     tree_characteristic,
-    weight_difference,
 )
-from woodelf.synth import random_data, random_ensemble, random_formula
-from woodelf.tree_model import model_to_dict, predict_batch
+from woodelf.synth import random_data, random_ensemble
+from woodelf.tree_model import model_to_dict, predict, predict_batch
+
+from conftest import cube_game, cube_values, random_cubes
 
 EXACT = 1e-12
 ORACLE = 1e-9
@@ -55,42 +55,57 @@ def criterion(number: int, description: str):
     print(f"ACCEPTANCE {number}: {description}: PASS")
 
 
+# The goldens run through the pipeline: chain-tree ensembles of the cube
+# lists, with the consumer at 1.0 and a single baseline at 0.0.
+ONES, ZEROS = np.ones((1, 3)), np.zeros((1, 3))
+
+
+def _golden_values(cubes, kind: MetricKind) -> np.ndarray:
+    return woodelf(cube_ensemble(cubes), ONES, ZEROS, kind).values[0]
+
+
 def test_criterion_1_golden_values():
     with criterion(1, "golden Shapley/Banzhaf values and efficiency sum"):
-        f = GOLDEN_FORMULA
-        phi = shapley(f).singles
-        beta = banzhaf(f).singles
+        phi = _golden_values(GOLDEN_CUBES, MetricKind.SHAPLEY)
+        beta = _golden_values(GOLDEN_CUBES, MetricKind.BANZHAF)
         np.testing.assert_allclose(
             phi, [-7.0 / 6.0, 1.0 / 3.0, -13.0 / 6.0], rtol=0, atol=EXACT)
         np.testing.assert_allclose(beta, [-1.0, 0.5, -2.0], rtol=0, atol=EXACT)
-        span = evaluate(f, [1, 1, 1]) - evaluate(f, [0, 0, 0])
+        ens = cube_ensemble(GOLDEN_CUBES)
+        span = predict(ens, ONES[0]) - predict(ens, ZEROS[0])
         assert span == -3.0
         assert abs(phi.sum() - span) <= EXACT
 
 
 def test_criterion_2_robustness():
-    with criterion(2, "equivalent formulas agree on values, differ on raw weights"):
-        f, g = GOLDEN_FORMULA, GOLDEN_EQUIVALENT
+    with criterion(2, "equivalent ensembles agree on values; a changed leaf "
+                      "weight moves them"):
+        golden, equivalent = cube_ensemble(GOLDEN_CUBES), cube_ensemble(GOLDEN_EQUIVALENT)
         for x in ((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
-            assert evaluate(f, x) == pytest.approx(evaluate(g, x), abs=EXACT)
-        assert np.max(np.abs(shapley(f).singles - shapley(g).singles)) <= EXACT
-        assert np.max(np.abs(banzhaf(f).singles - banzhaf(g).singles)) <= EXACT
-        assert np.max(np.abs(weight_difference(f) - weight_difference(g))) > 1e-6
+            assert predict(golden, x) == pytest.approx(predict(equivalent, x), abs=EXACT)
+        for kind in (MetricKind.SHAPLEY, MetricKind.BANZHAF):
+            assert np.max(np.abs(_golden_values(GOLDEN_CUBES, kind)
+                                 - _golden_values(GOLDEN_EQUIVALENT, kind))) <= EXACT
+        heavier = (Cube((), (0,), 4.0),) + GOLDEN_CUBES[1:]
+        assert np.max(np.abs(_golden_values(heavier, MetricKind.SHAPLEY)
+                             - _golden_values(GOLDEN_CUBES, MetricKind.SHAPLEY))) > 1e-6
 
 
 def test_criterion_3_formula_oracle_equivalence():
-    with criterion(3, "200 random formulas match exact oracles at 1e-9"):
+    with criterion(3, "200 random cube lists match exact oracles at 1e-9"):
+        rules = {MetricKind.SHAPLEY: cube_shapley, MetricKind.BANZHAF: cube_banzhaf,
+                 MetricKind.SHAPLEY_IV: cube_shapley_iv,
+                 MetricKind.BANZHAF_IV: cube_banzhaf_iv}
         rng = np.random.default_rng(1003)
         start = time.perf_counter()
         worst = 0.0
-        for trial in range(200):
-            form = Form.WDNF if trial % 2 == 0 else Form.WCNF
-            f = random_formula(rng, num_vars=int(rng.integers(1, 13)),
-                               max_cubes=30, form=form)
-            cf = formula_characteristic(f)
-            for kind, fast in FORMULA_METRICS.items():
-                got = fast(f).values
-                expected = exact_attribution(cf, kind).values
+        for _ in range(200):
+            h = int(rng.integers(1, 13))
+            cubes = random_cubes(rng, h, max_cubes=30)
+            game = cube_game(cubes, h)
+            for kind, rule in rules.items():
+                got = cube_values(rule, cubes, h)
+                expected = exact_attribution(game, kind).values
                 if got.size:
                     worst = max(worst, float(np.max(np.abs(got - expected))))
         elapsed = time.perf_counter() - start
@@ -228,16 +243,14 @@ def test_criterion_8_selftest_enforces_reference_tolerance(tmp_path, capsys):
     with criterion(8, "selftest reports deviations and enforces 1e-5 references"):
         within = tmp_path / "within.json"
         within.write_text(json.dumps(_reference_doc(perturbation=5e-6)))
-        code = main(["selftest", "--formulas", "4", "--pipelines", "1",
-                     "--reference", str(within)])
+        code = main(["selftest", "--pipelines", "1", "--reference", str(within)])
         out = capsys.readouterr().out
         assert code == 0, "deviation below 1e-5 must pass"
         assert "deviation" in out and "external reference" in out
 
         beyond = tmp_path / "beyond.json"
         beyond.write_text(json.dumps(_reference_doc(perturbation=5e-5)))
-        code = main(["selftest", "--formulas", "4", "--pipelines", "1",
-                     "--reference", str(beyond)])
+        code = main(["selftest", "--pipelines", "1", "--reference", str(beyond)])
         out = capsys.readouterr().out
         assert code == 5, "deviation above 1e-5 must fail"
         assert "FAIL" in out

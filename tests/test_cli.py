@@ -265,11 +265,12 @@ def test_out_of_range_numbers_exit_2_when_parsed(toy, capsys, flag, value):
 @pytest.mark.parametrize("argv", [
     ["compute", "--model", "m.json", "--consumers", "c.csv", "--out", "o.csv",
      "--mode", "baseline"],
-    ["selftest", "--form", "2"],
-], ids=["compute", "selftest"])
+    ["selftest", "--pipe", "2"],
+    ["selftest", "--formulas", "2"],
+], ids=["compute", "selftest", "selftest-formulas"])
 def test_flag_prefixes_are_not_expanded(capsys, argv):
     # A retired or shortened flag is an unknown argument (exit 2), not a
-    # prefix of --model or --formulas.
+    # prefix of --model or --pipelines.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -366,11 +367,12 @@ def test_xgb_format_end_to_end(tmp_path):
 # selftest
 
 def test_selftest_passes(capsys):
-    code = main(["selftest", "--formulas", "6", "--pipelines", "2"])
+    code = main(["selftest", "--pipelines", "2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert "deviation" in out
+    assert "golden shapley values" in out and "9/9 checks passed" in out
 
 
 def _reference_doc(metric: MetricKind):
@@ -407,8 +409,7 @@ def _reference_doc(metric: MetricKind):
 def test_selftest_with_oracle_reference_file(tmp_path, capsys, metric):
     ref = tmp_path / "reference.json"
     ref.write_text(json.dumps(_reference_doc(metric)))
-    code = main(["selftest", "--formulas", "2", "--pipelines", "1",
-                 "--reference", str(ref)])
+    code = main(["selftest", "--pipelines", "1", "--reference", str(ref)])
     out = capsys.readouterr().out
     assert code == 0
     assert "external reference" in out
@@ -419,8 +420,7 @@ def test_selftest_detects_corrupted_reference(tmp_path, capsys):
     doc["values"][0][0] += 1e-3  # larger than the 1e-5 cross-check tolerance
     ref = tmp_path / "corrupt.json"
     ref.write_text(json.dumps(doc))
-    code = main(["selftest", "--formulas", "2", "--pipelines", "1",
-                 "--reference", str(ref)])
+    code = main(["selftest", "--pipelines", "1", "--reference", str(ref)])
     out = capsys.readouterr().out
     assert code == 5
     assert "FAIL" in out
@@ -436,7 +436,6 @@ def test_reference_file_missing_key_exits_4(tmp_path, capsys, mode, missing):
     del doc[missing]
     ref = tmp_path / "reference.json"
     ref.write_text(json.dumps(doc))
-    code = main(["selftest", "--formulas", "2", "--pipelines", "1",
-                 "--reference", str(ref)])
+    code = main(["selftest", "--pipelines", "1", "--reference", str(ref)])
     assert code == 4
     assert f"'{missing}'" in capsys.readouterr().err

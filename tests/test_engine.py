@@ -678,13 +678,15 @@ def test_consumer_dimension_mismatch():
         woodelf(ens, np.zeros((2, 3)), np.zeros((2, 4)))
 
 
-def test_empty_background_falls_back_to_path_dependent():
+def test_empty_background_raises_mode_error():
+    # An empty background is an error, with or without covers; only
+    # background=None selects path-dependent mode.
     rng = np.random.default_rng(33)
-    ens = random_ensemble(rng, 1, 3, max_depth=3, with_covers=True)
-    C = random_data(rng, 3, 3)
-    via_empty = woodelf(ens, C, np.zeros((0, 3)), MetricKind.SHAPLEY)
-    via_none = woodelf(ens, C, None, MetricKind.SHAPLEY)
-    np.testing.assert_array_equal(via_empty.values, via_none.values)
+    for with_covers in (True, False):
+        ens = random_ensemble(rng, 1, 3, max_depth=3, with_covers=with_covers)
+        C = random_data(rng, 3, 3)
+        with pytest.raises(ModeError, match="background=None"):
+            woodelf(ens, C, np.zeros((0, 3)), MetricKind.SHAPLEY)
 
 
 def test_path_dependent_without_covers_raises():

@@ -2,27 +2,35 @@ import numpy as np
 import pytest
 
 from woodelf.errors import ModeError
-from woodelf.formula_core import Cube, MetricKind, WeightedFormula, shapley_iv
+from woodelf.cli import cube_ensemble
+from woodelf.formula_core import Cube, MetricKind, cube_shapley_iv, pair_index
 from woodelf.oracle import (
     CharacteristicFunction,
     banzhaf_exact,
     banzhaf_iv_exact,
     ensemble_pd_characteristic,
     exact_attribution,
-    formula_characteristic,
     pd_characteristic,
     shapley_exact,
     shapley_iv_exact,
     tree_characteristic,
-    weight_difference,
 )
 from woodelf.tree_model import TreeEnsemble, predict
 
-from conftest import GOLDEN_BANZHAF, GOLDEN_SHAPLEY, cf_from_table
+from conftest import (
+    GOLDEN_BANZHAF,
+    GOLDEN_CUBES,
+    GOLDEN_EQUIVALENT,
+    GOLDEN_SHAPLEY,
+    cf_from_table,
+    cube_game,
+    cube_values,
+    random_cubes,
+)
 
 
-def test_shapley_exact_on_golden_formula(golden_formula):
-    cf = formula_characteristic(golden_formula)
+def test_shapley_exact_on_golden_formula():
+    cf = cube_game(GOLDEN_CUBES, 3)
     np.testing.assert_allclose(shapley_exact(cf), GOLDEN_SHAPLEY, atol=1e-12)
 
 
@@ -39,8 +47,8 @@ def test_shapley_exact_additive_game():
                                atol=1e-12)
 
 
-def test_banzhaf_exact_on_golden_formula(golden_formula):
-    cf = formula_characteristic(golden_formula)
+def test_banzhaf_exact_on_golden_formula():
+    cf = cube_game(GOLDEN_CUBES, 3)
     np.testing.assert_allclose(banzhaf_exact(cf), GOLDEN_BANZHAF, atol=1e-12)
 
 
@@ -93,21 +101,19 @@ def test_shapley_iv_exact_symmetric_in_arguments():
 
 
 def test_shapley_iv_exact_outside_support_is_zero():
-    f = WeightedFormula.wdnf([Cube((0,), (1,), 4.0)], num_vars=3)
-    cf = formula_characteristic(f)
+    cf = cube_game([Cube((0,), (1,), 4.0)], 3)
     assert shapley_iv_exact(cf, 0, 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shapley_iv_exact_matches_fast_path():
     rng = np.random.default_rng(7)
-    from woodelf.synth import random_formula
-    f = random_formula(rng, num_vars=4, max_cubes=8)
-    fast = shapley_iv(f)
-    cf = formula_characteristic(f)
+    cubes = random_cubes(rng, 4, max_cubes=8)
+    fast = cube_values(cube_shapley_iv, cubes, 4)
+    cf = cube_game(cubes, 4)
     for i in range(4):
         for j in range(i + 1, 4):
-            assert shapley_iv_exact(cf, i, j) == pytest.approx(fast.pair(i, j),
-                                                               abs=1e-9)
+            assert shapley_iv_exact(cf, i, j) == pytest.approx(
+                fast[pair_index(i, j, 4)], abs=1e-9)
 
 
 def test_banzhaf_iv_exact_symmetric_and_constant():
@@ -218,23 +224,25 @@ def test_ensemble_pd_characteristic_sums_trees(three_leaf_tree):
 
 
 # ---------------------------------------------------------------------------
-# weight difference
+# the goldens as chain-tree ensembles
 
-def test_weight_difference_golden(golden_formula):
-    np.testing.assert_allclose(weight_difference(golden_formula),
-                               [5 - 3 - 2, 2, 2 - 5], atol=1e-12)
+@pytest.mark.parametrize("cubes", [GOLDEN_CUBES, GOLDEN_EQUIVALENT],
+                         ids=["golden", "equivalent"])
+def test_golden_ensemble_game_is_the_cube_game(cubes):
+    # With the consumer at 1.0 and the baseline at 0.0 on every feature, the
+    # baseline game of the chain trees is the cube list's on all 8 coalitions.
+    tree_game = tree_characteristic(cube_ensemble(cubes), np.ones(3), np.zeros((1, 3)))
+    np.testing.assert_array_equal(tree_game.table(), cube_game(GOLDEN_CUBES, 3).table())
 
 
-def test_weight_difference_single_cube():
-    f = WeightedFormula.wdnf([Cube((0,), (), 2.0)], num_vars=3)
-    np.testing.assert_allclose(weight_difference(f), [2.0, 0.0, 0.0], atol=0)
-
-
-def test_exact_attribution_packs_like_fast_path(golden_formula):
-    cf = formula_characteristic(golden_formula)
-    result = exact_attribution(cf, MetricKind.SHAPLEY_IV)
+def test_exact_attribution_packs_like_fast_path():
+    result = exact_attribution(cube_game(GOLDEN_CUBES, 3), MetricKind.SHAPLEY_IV)
     assert result.pairs.shape == (3,)
-    assert result.pair(0, 1) == pytest.approx(result.pairs_matrix()[1, 0])
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert result.pair(i, j) == result.pair(j, i) == \
+            result.pairs[pair_index(i, j, 3)]
+    np.testing.assert_allclose(result.pairs,
+                               cube_values(cube_shapley_iv, GOLDEN_CUBES, 3), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +257,10 @@ def _table_by_evaluator(cf):
 
 
 def test_formula_table_matches_evaluator():
-    from woodelf.synth import random_formula
-    from woodelf.formula_core import Form
+    # The cube-list game the rule tests check against.
     rng = np.random.default_rng(12)
-    for trial in range(6):
-        form = Form.WDNF if trial % 2 == 0 else Form.WCNF
-        f = random_formula(rng, num_vars=4, max_cubes=8, form=form)
-        cf = formula_characteristic(f)
+    for _ in range(6):
+        cf = cube_game(random_cubes(rng, 4, max_cubes=8), 4)
         np.testing.assert_allclose(cf.table(), _table_by_evaluator(cf), atol=1e-12)
 
 

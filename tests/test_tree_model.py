@@ -125,8 +125,10 @@ def test_load_model_missing_node_key(tmp_path):
 def test_load_model_unknown_format(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(NATIVE_DOC))
-    with pytest.raises(ModelSchemaError, match="format"):
-        load_model(str(path), format="pickle")
+    # One name per format: the retired spellings are unknown too.
+    for name in ("pickle", "native-json", "xgboost", "xgboost-dump"):
+        with pytest.raises(ModelSchemaError, match="format"):
+            load_model(str(path), format=name)
 
 
 def test_round_trip_structural_equality(tmp_path):
@@ -223,7 +225,7 @@ def test_load_xgboost_dump(tmp_path):
     # nodeid, and the yes branch (strict <) must land on the left.
     path = tmp_path / "dump.json"
     path.write_text(json.dumps(XGB_DUMP))
-    ens = load_model(str(path), format="xgboost-dump")
+    ens = load_model(str(path), format="xgb")
     assert ens.num_features == 2
     assert predict(ens, [2.0, 2.0]) == 1.0
     assert predict(ens, [2.0, 8.0]) == 2.0
