@@ -9,10 +9,12 @@ the thread count.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import io
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -30,8 +32,6 @@ from .errors import (
     WoodelfError,
 )
 from .formula_core import Cube, MetricKind
-from . import oracle
-from .synth import random_data, random_ensemble
 from .tree_model import (
     DEFAULT_DEPTH_CAP,
     HARD_DEPTH_CAP,
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference",
                    help="JSON file of externally produced values to enforce "
                         f"at {REFERENCE_TOLERANCE:g} absolute")
-    p.add_argument("--pipelines", type=int, default=6,
+    p.add_argument("--pipelines", type=_int_range(1), default=6,
                    help="random ensembles for the pipeline oracle check")
     p.set_defaults(func=cmd_selftest)
 
@@ -168,17 +168,39 @@ def cmd_compute(args) -> int:
             "path-dependent mode requires node covers in the model dump; "
             "provide --background or a model with cover fields"
         )
-    result = woodelf(ensemble, consumers, background, metric, threads=args.threads)
+    sample = _verify_rows(ensemble, consumers.num_rows, args.verify)
+    kept: dict[int, np.ndarray] = {}
 
-    _write_result(args.out, result, ensemble.feature_names)
+    def keep(start: int, block: np.ndarray) -> None:
+        for r in sample[bisect.bisect_left(sample, start):
+                        bisect.bisect_left(sample, start + len(block))]:
+            kept[r] = block[r - start].copy()
+
+    if args.out.endswith(".json"):
+        result = woodelf(ensemble, consumers, background, metric, threads=args.threads)
+        keep(0, result.values)
+        _write_json(args.out, result, list(ensemble.feature_names))
+    else:
+        with open(args.out, "wb") as fh:
+            write = _csv_sink(fh, ensemble.feature_names, metric.pairwise)
+
+            def sink(start: int, block: np.ndarray) -> None:
+                write(start, block)
+                keep(start, block)
+
+            try:
+                woodelf(ensemble, consumers, background, metric,
+                        threads=args.threads, sink=sink)
+            except BaseException:
+                fh.close()
+                os.remove(args.out)     # no partial output from a failed run
+                raise
     print(f"wrote {consumers.num_rows} rows to {args.out}")
 
     if args.verify > 0:
-        dev, checked = _oracle_deviation(
-            ensemble, consumers.values, background, metric, result.values,
-            args.verify)
+        dev = _oracle_deviation(ensemble, consumers.values, background, metric, kept)
         print(f"verify: max abs deviation {dev:.3e} vs oracle over "
-              f"{checked} rows (tolerance {ORACLE_TOLERANCE:g})")
+              f"{len(kept)} rows (tolerance {ORACLE_TOLERANCE:g})")
         if dev > ORACLE_TOLERANCE:
             raise VerificationError(
                 f"oracle deviation {dev:.3e} exceeds {ORACLE_TOLERANCE:g}")
@@ -209,27 +231,36 @@ def _resolve_baseline(spec: str, ensemble: TreeEnsemble,
     return source.values[index]
 
 
-def _oracle_deviation(ensemble, consumers: np.ndarray, background,
-                      kind: MetricKind, values: np.ndarray,
-                      sample: int, seed: int = 0) -> tuple[float, int]:
+def _verify_rows(ensemble: TreeEnsemble, n: int, sample: int,
+                 seed: int = 0) -> list[int]:
+    """The sorted rows that ``--verify`` checks against the exact oracle,
+    chosen before the run so the output can stream past them."""
+    if sample == 0:
+        return []
+    from . import oracle
     if ensemble.num_features > oracle.PLAYER_CAP:
         raise ModeError(
             f"--verify needs at most {oracle.PLAYER_CAP} features "
             f"(model has {ensemble.num_features})"
         )
-    n = consumers.shape[0]
     rng = np.random.default_rng(seed)
-    rows = sorted(rng.choice(n, size=min(sample, n), replace=False).tolist())
+    return sorted(rng.choice(n, size=min(sample, n), replace=False).tolist())
+
+
+def _oracle_deviation(ensemble, consumers: np.ndarray, background,
+                      kind: MetricKind, kept: dict[int, np.ndarray]) -> float:
+    """The largest deviation of the kept rows' values from the exact oracle."""
+    from . import oracle
     worst = 0.0
-    for r in rows:
+    for r, values in kept.items():
         if background is not None:
             cf = oracle.tree_characteristic(ensemble, consumers[r], background)
         else:
             cf = oracle.ensemble_pd_characteristic(ensemble, consumers[r])
         reference = oracle.exact_attribution(cf, kind).values
         if reference.size:
-            worst = max(worst, float(np.max(np.abs(values[r] - reference))))
-    return worst, len(rows)
+            worst = max(worst, float(np.max(np.abs(values - reference))))
+    return worst
 
 
 def _csv_cell(text: str) -> str:
@@ -239,39 +270,38 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _write_result(path: str, result, feature_names) -> None:
-    """Write ``result`` as JSON or CSV. A CSV holds the bytes ``csv.writer``
-    writes for the row ids, the feature names and ``repr`` of each value.
-    ``csvtext`` builds them a block of about ``_CSV_BLOCK`` values at a time:
-    each value follows its head, which is "," in the one-row-per-consumer
-    layout and ",<feature_i>,<feature_j>," in the one-row-per-pair layout."""
-    names = list(feature_names)
-    if path.endswith(".json"):
-        _write_json(path, result, names)
-        return
-    values = result.values
-    n, width = values.shape
-    cells = [_csv_cell(name) for name in names]
-    if result.pairwise:
+def _csv_sink(fh, feature_names, pairwise: bool):
+    """Write the CSV header to the binary file ``fh`` and return a
+    ``woodelf()`` sink that writes each row block after it. The file holds
+    the bytes ``csv.writer`` writes for the row ids, the feature names and
+    ``repr`` of each value. ``csvtext`` builds them a sub-block of about
+    ``_CSV_BLOCK`` values at a time: each value follows its head, which is
+    "," in the one-row-per-consumer layout and ",<feature_i>,<feature_j>,"
+    in the one-row-per-pair layout."""
+    cells = [_csv_cell(name) for name in feature_names]
+    if pairwise:
         header = "row_id,feature_i,feature_j,value"
         heads = csvtext.text_field(
-            [f",{cells[i]},{cells[j]}," for i, j in itertools.combinations(range(len(names)), 2)])
+            [f",{a},{b}," for a, b in itertools.combinations(cells, 2)])
     else:
         header = ",".join(["row_id", *cells])
-        heads = np.full((width, 1), ord(","), np.uint8)
-    rows = max(1, _CSV_BLOCK // max(width, 1))
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n")
-        for start in range(0, n, rows):
-            block = values[start:start + rows]
-            ids = csvtext.text_field(map(str, range(start, start + len(block))))
-            texts = csvtext.repr_field(block)
-            texts = texts.reshape(len(block), width, texts.shape[-1])
-            if result.pairwise:
+        heads = np.full((len(cells), 1), ord(","), np.uint8)
+    fh.write(header.encode("utf-8") + b"\n")
+    step = max(1, _CSV_BLOCK // max(len(heads), 1))
+
+    def write(start: int, block: np.ndarray) -> None:
+        for lo in range(0, len(block), step):
+            rows = block[lo:lo + step]
+            ids = csvtext.text_field(map(str, range(start + lo, start + lo + len(rows))))
+            texts = csvtext.repr_field(rows)
+            texts = texts.reshape(len(rows), len(heads), texts.shape[-1])
+            if pairwise:
                 fh.write(csvtext.pack(ids[:, None, :], heads, texts, _NEWLINE))
             else:
-                row_cells = csvtext.join(heads, texts).reshape(len(block), -1)
+                row_cells = csvtext.join(heads, texts).reshape(len(rows), -1)
                 fh.write(csvtext.pack(ids, row_cells, _NEWLINE))
+
+    return write
 
 
 def _write_json(path: str, result, names) -> None:
@@ -387,6 +417,8 @@ def _golden_checks() -> list[Check]:
 
 
 def _pipeline_oracle_check(count: int, seed: int = 23) -> list[Check]:
+    from . import oracle
+    from .synth import random_data, random_ensemble
     rng = np.random.default_rng(seed)
     worst_bg = worst_pd = worst_chain = 0.0
     for _ in range(count):

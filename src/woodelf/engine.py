@@ -20,8 +20,10 @@ rows in row blocks sized from the output width (``gather_block_rows``): per
 row block, the rows are transposed once, each tree's block keys are computed
 from one comparison per distinct split feature (``calc_decision_patterns``
 given the tree's blocks), the keys index the block tables, and the values
-accumulate feature-major in a small (columns x block rows) buffer that is
-then copied into the output. Per-row results are summed in a fixed order
+accumulate feature-major in a small, reused (columns x block rows) buffer
+that is then handed to a sink: by default one that copies it into the output
+array, in ``woodelf compute`` one that writes it as CSV text, so the output
+is never held whole. Per-row results are summed in a fixed order
 (tree, block, column), so output is reproducible bit for bit regardless of
 the thread count and the block size.
 """
@@ -29,9 +31,10 @@ the thread count and the block size.
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,6 +235,8 @@ def build_score_vectors(stacked: StackedEntries, frequencies: np.ndarray,
 # Gather tables: (block, {output column: score table}) in a fixed order. A
 # table is indexed by the block's keys.
 Tables = list[tuple[int, dict[int, np.ndarray]]]
+# Receives each gathered row block as (first row, (rows x width) values).
+Sink = Callable[[int, np.ndarray], None]
 
 def gather_block_rows(width: int) -> int:
     """Default gather row block for an output ``width`` columns wide: the
@@ -262,20 +267,50 @@ def _gather_into(acc: np.ndarray, tables: Tables, keys: Mapping[int, np.ndarray]
             acc[col] += vec[index]
 
 
-def _gather_rows(plan: Sequence[tuple[Tree, SubtreeBlocks, Tables]],
-                 consumers: np.ndarray, out: np.ndarray, start: int, stop: int,
-                 block_size: int) -> None:
-    """Fill ``out[start:stop]`` row block by row block: per row block, the
-    rows transposed once, then per tree its block keys and its tables
-    gathered into a small feature-major buffer that is copied into ``out``."""
-    for lo in range(start, stop, block_size):
-        hi = min(lo + block_size, stop)
-        columns = np.ascontiguousarray(consumers[lo:hi].T)
-        acc = np.zeros((out.shape[1], hi - lo))
-        for tree, blocks, tables in plan:
-            keys = calc_decision_patterns(tree, columns.T, hi - lo, blocks)
-            _gather_into(acc, tables, keys.patterns)
-        out[lo:hi] = acc.T
+def _gather_block(plan: Sequence[tuple[Tree, SubtreeBlocks, Tables]],
+                  consumers: np.ndarray, lo: int, hi: int, width: int,
+                  buffer: np.ndarray) -> np.ndarray:
+    """Rows ``lo:hi`` gathered into the front of ``buffer``, reused as a
+    feature-major (width x rows) accumulator: the rows transposed once, then
+    per tree its block keys and its tables. Returns the (rows x width) view."""
+    acc = buffer[:width * (hi - lo)].reshape(width, hi - lo)
+    acc.fill(0.0)
+    columns = np.ascontiguousarray(consumers[lo:hi].T)
+    for tree, blocks, tables in plan:
+        keys = calc_decision_patterns(tree, columns.T, hi - lo, blocks)
+        _gather_into(acc, tables, keys.patterns)
+    return acc.T
+
+
+def _gather(plan: Sequence[tuple[Tree, SubtreeBlocks, Tables]], consumers: np.ndarray,
+            width: int, block_size: int, threads: int, sink: Sink) -> None:
+    """Gather the rows in blocks of ``block_size`` and hand each block to
+    ``sink`` in row order. With several threads, a pool gathers up to
+    ``threads`` blocks ahead, one reused accumulator each, while the calling
+    thread feeds the sink; a block's accumulator is reused only after the
+    sink has returned from it."""
+    n = consumers.shape[0]
+    # Enough blocks to keep every thread busy on a short input.
+    block_size = max(1, min(block_size, -(-n // threads)))
+    starts = range(0, n, block_size)
+    ahead = min(threads, len(starts))
+    buffers = [np.empty(width * block_size) for _ in range(ahead)]
+
+    def gather(k: int) -> np.ndarray:
+        lo = starts[k]
+        return _gather_block(plan, consumers, lo, min(lo + block_size, n), width,
+                             buffers[k % ahead])
+
+    if ahead <= 1:
+        for k, lo in enumerate(starts):
+            sink(lo, gather(k))
+        return
+    with ThreadPoolExecutor(max_workers=ahead) as pool:
+        pending = deque(pool.submit(gather, k) for k in range(ahead))
+        for k, lo in enumerate(starts):
+            sink(lo, pending.popleft().result())
+            if k + ahead < len(starts):
+                pending.append(pool.submit(gather, k + ahead))
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +322,12 @@ class BatchAttribution:
 
     ``values`` is (rows, num_features) for single-variable metrics and
     (rows, num_features*(num_features-1)/2) packed upper-triangular for
-    interaction metrics.
+    interaction metrics; None when a sink took the rows instead.
     """
 
     metric: MetricKind
     num_features: int
-    values: np.ndarray
+    values: np.ndarray | None
     timings: dict[str, float] | None = None
 
     @property
@@ -315,28 +350,45 @@ def woodelf(ensemble: TreeEnsemble,
             background=None,
             metric: MetricKind | str = MetricKind.SHAPLEY,
             threads: int = 1,
-            block_size: int | None = None) -> BatchAttribution:
+            block_size: int | None = None,
+            sink: Sink | None = None) -> BatchAttribution:
     """Attributions of every consumer row under the requested metric.
 
     ``metric`` is a ``MetricKind`` or its name. A ``background`` selects
     background mode, and a one-row background is a single baseline; an empty
     one raises ``ModeError``. With ``background=None`` the ensemble's covers
     drive path-dependent mode. Interaction metrics fill unordered pairs
-    only. Stage wall times are reported in ``timings``.
+    only. Stage wall times are reported in ``timings``; ``gather`` includes
+    the time spent in ``sink``.
 
     Each tree's score tables are built once: one (columns x keys) table per
     height-2 subtree block, of 2^(key bits) floats a column, where a block's
     key has a bit per ancestor and per inner node of the block. The gather
-    then splits the rows evenly over ``threads`` and walks each slice in row
-    blocks of ``block_size`` rows (default ``gather_block_rows(width)``:
-    8,192 rows up to 12 output columns, 4,096 from 24 on), so besides the
-    tables it holds, per thread, ``width * block_size`` floats and one key
-    buffer (a split outcome per inner node and one key per block and prefix,
-    for each row of the block), whatever the row count. Results are
-    bit-identical for any ``threads`` and ``block_size``. A background is
-    keyed the same way, one tree at a time, and held whole while its keys are
-    counted: one key per block and row, one byte while keys fit 8 bits (16
-    bytes a row for a full depth-6 tree, where per-leaf patterns took 64).
+    then walks the rows in row blocks of ``block_size`` rows (default
+    ``gather_block_rows(width)``: 8,192 rows up to 12 output columns, 4,096
+    from 24 on; smaller when there would be fewer blocks than ``threads``).
+
+    **Sink.** Each finished row block goes, in row order and exactly once,
+    to ``sink(start, block)`` on the calling thread: ``block`` holds rows
+    ``start:start + len(block)`` as a (rows x width) view of a reused
+    feature-major accumulator, valid only during the call, so a sink that
+    keeps rows copies them. With a sink, ``values`` is None. Without one,
+    the default sink fills ``values``, an (n x width) array.
+
+    **Memory.** Besides the inputs and the tables, a call holds ``threads``
+    row-block accumulators of ``width * block_size`` floats and, per
+    gathering thread, one key buffer (a split outcome per inner node and one
+    key per block and prefix, for each row of the block), whatever the row
+    count. The default sink adds the (n x width) output; a streaming sink,
+    such as ``woodelf compute``'s CSV writer, which holds one formatted
+    sub-block of text, keeps the total flat in n. With ``threads > 1``, a
+    pool gathers up to ``threads`` blocks ahead while the calling thread
+    feeds the sink. Each row is summed in a fixed order (tree, block,
+    column), so results are bit-identical for any ``threads`` and
+    ``block_size``. A background is keyed the same way, one tree at a time,
+    and held whole while its keys are counted: one key per block and row, one
+    byte while keys fit 8 bits (16 bytes a row for a full depth-6 tree, where
+    per-leaf patterns took 64).
     """
     metric = MetricKind(metric)
     if block_size is not None and block_size < 1:
@@ -429,21 +481,15 @@ def woodelf(ensemble: TreeEnsemble,
             timings["scores"] += time.perf_counter() - t1
         plan.append((tree, blocks, tables))
 
-    n = C.shape[0]
-    out = np.zeros((n, width))
+    values = None
+    if sink is None:
+        values = np.empty((C.shape[0], width))
+
+        def sink(start: int, block: np.ndarray) -> None:
+            values[start:start + block.shape[0]] = block
+
     t0 = time.perf_counter()
-    if threads == 1 or n == 0:
-        _gather_rows(plan, C, out, 0, n, block_size)
-    else:
-        bounds = np.linspace(0, n, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_gather_rows, plan, C, out, int(bounds[k]),
-                            int(bounds[k + 1]), block_size)
-                for k in range(threads)
-            ]
-            for f in futures:
-                f.result()
+    _gather(plan, C, width, block_size, threads, sink)
     timings["gather"] += time.perf_counter() - t0
 
-    return BatchAttribution(metric, h, out, timings)
+    return BatchAttribution(metric, h, values, timings)

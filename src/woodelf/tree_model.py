@@ -492,12 +492,18 @@ def load_data(path: str, feature_names: Sequence[str]) -> DataMatrix:
     Columns are reordered to feature-id order; extra columns are ignored.
     Missing columns, non-numeric cells, NaNs, and ragged rows are rejected
     with the offending column or row named.
+
+    The body is parsed by ``np.loadtxt`` straight from the file. Where it
+    fails or finds a non-finite value, the body is read again cell by cell
+    with ``float()``, which names the offending line and column, and accepts
+    the spellings that ``float()`` takes and ``loadtxt`` does not (``1_0``,
+    non-ASCII digits); the values are the same either way.
     """
     feature_names = list(feature_names)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        # The header's lines come from readline, so the body's offset is known.
         try:
-            header = next(reader)
+            header = next(csv.reader(iter(fh.readline, "")))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -505,6 +511,12 @@ def load_data(path: str, feature_names: Sequence[str]) -> DataMatrix:
         if missing:
             raise DataError(f"{path}: missing feature column(s) {missing}")
         pick = [header.index(name) for name in feature_names]
+        body = fh.tell()
+        values = _load_body(fh, len(header), pick)
+        if values is not None:
+            return DataMatrix(values)
+        fh.seek(body)
+        reader = csv.reader(fh)
         rows = []
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
@@ -529,6 +541,35 @@ def load_data(path: str, feature_names: Sequence[str]) -> DataMatrix:
                 raise DataError(f"{path}: line {lineno}, column {bad!r}: missing value")
             rows.append(vals)
     return DataMatrix(np.asarray(rows, dtype=np.float64).reshape(len(rows), len(feature_names)))
+
+
+def _load_body(fh, columns: int, pick: list[int]) -> np.ndarray | None:
+    """The ``pick`` columns of the CSV body from ``fh``'s position on, or
+    None where ``loadtxt`` cannot give what the cell-by-cell loop would:
+    a cell it does not parse, a row of other than ``columns`` cells, or a
+    non-finite value. Extra columns are read as 0 and dropped."""
+    start = fh.tell()
+    # A body of blank lines only has no rows (loadtxt would warn about it).
+    while not (line := fh.readline()).strip("\r\n"):
+        if not line:
+            return np.empty((0, len(pick)))
+        start = fh.tell()
+    fh.seek(start)
+    extra = {k: _zero for k in range(columns) if k not in pick}
+    try:
+        values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                            converters=extra or None)
+    except ValueError:
+        return None
+    if values.shape[1] != columns:
+        return None
+    if pick != list(range(columns)):
+        values = values[:, pick]
+    return values if np.isfinite(values).all() else None
+
+
+def _zero(cell: str) -> float:
+    return 0.0
 
 
 def _is_number(cell: str) -> bool:

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from woodelf.cli import _write_result, main
-from woodelf.engine import BatchAttribution, woodelf
+from woodelf.cli import _csv_sink, main
+from woodelf.engine import woodelf
 from woodelf.formula_core import MetricKind
 from woodelf.oracle import exact_attribution, tree_characteristic
 from woodelf.synth import random_data, random_ensemble
@@ -132,6 +132,63 @@ def test_compute_csv_matches_csv_writer_bytes(tmp_path, metric):
     assert out.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("metric", [MetricKind.SHAPLEY, MetricKind.SHAPLEY_IV])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("rows", [0, 37])
+def test_streamed_compute_csv_matches_csv_writer_bytes(tmp_path, capsys, metric,
+                                                       threads, rows):
+    """``compute`` streams its CSV row block by row block (several blocks
+    with threads > 1), and the file still equals csv.writer over repr of the
+    in-process values; a header-only consumers file gives a header-only
+    output. ``--verify`` checks rows kept from the stream against the
+    oracle, so a row kept from the wrong block would fail it."""
+    rng = np.random.default_rng(18)
+    ens = random_ensemble(rng, 3, 4, max_depth=3)
+    names = list(ens.feature_names)
+    model = tmp_path / "model.json"
+    save_model(ens, str(model))
+    C = random_data(rng, rows, 4)
+    B = random_data(rng, 5, 4)
+    paths = {}
+    for label, data in (("consumers", C), ("background", B)):
+        paths[label] = tmp_path / f"{label}.csv"
+        np.savetxt(paths[label], data, fmt="%.17g", delimiter=",",
+                   header=",".join(names), comments="")
+    out = tmp_path / "out.csv"
+    assert main(["compute", "--model", str(model), "--consumers",
+                 str(paths["consumers"]), "--background", str(paths["background"]),
+                 "--metric", metric.value, "--threads", str(threads),
+                 "--verify", "5", "--out", str(out)]) == 0
+    expected = _csv_writer_bytes(names, woodelf(ens, C, B, metric).values,
+                                 metric.pairwise)
+    assert out.read_bytes() == expected
+    assert f"over {min(rows, 5)} rows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cause", ["zero-cover", "verify-over-player-cap"])
+def test_failed_compute_leaves_no_output(toy, capsys, cause):
+    # A zero cover passes validation but fails path-dependent mode inside
+    # woodelf(), after the CSV header is written: the partial file goes.
+    # --verify over the oracle's feature cap fails before any work.
+    if cause == "zero-cover":
+        doc = json.loads(json.dumps(MODEL_DOC))
+        doc["trees"][0]["nodes"][3]["cover"] = 0.0
+        consumers = toy["consumers"]
+    else:
+        rng = np.random.default_rng(19)
+        doc = model_to_dict(random_ensemble(rng, 1, 21, max_depth=2))
+        consumers = toy["dir"] / "wide.csv"
+        np.savetxt(consumers, random_data(rng, 3, 21), delimiter=",",
+                   header=",".join(doc["feature_names"]), comments="")
+    model = toy["dir"] / "model.json"
+    model.write_text(json.dumps(doc))
+    out = toy["dir"] / "x.csv"
+    assert main(["compute", "--model", str(model), "--consumers", str(consumers),
+                 "--verify", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert ("covers" if cause == "zero-cover" else "--verify") in capsys.readouterr().err
+
+
 def _csv_writer_bytes(names, values, pairwise):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -159,9 +216,11 @@ CRAFTED = [1e-7, 1e20, -0.0, 0.0, 5e-324, 3.0, -42.0, 1e16, 2.0**53, 0.1, 1e-5,
     (3, ["solo"]),
 ])
 def test_write_result_matches_csv_writer_and_repr(tmp_path, metric, rows, names):
-    """Both CSV layouts equal csv.writer over repr of each value, byte for
-    byte: crafted values, names that need quoting or are not ASCII, and
-    10,000 rows, which span several blocks and row ids of 1 to 4 digits."""
+    """Both layouts of ``compute``'s CSV sink equal csv.writer over repr of
+    each value, byte for byte: crafted values, names that need quoting or are
+    not ASCII, and 10,000 rows, which span several row blocks and CSV
+    sub-blocks and row ids of 1 to 4 digits. Blocks arrive as the gather
+    hands them over, as (rows x width) views of a feature-major buffer."""
     h = len(names)
     width = h * (h - 1) // 2 if metric.pairwise else h
     rng = np.random.default_rng(rows)
@@ -169,7 +228,10 @@ def test_write_result_matches_csv_writer_and_repr(tmp_path, metric, rows, names)
     spots = rng.choice(values.size, size=min(len(CRAFTED), values.size), replace=False)
     values.flat[spots] = CRAFTED[:spots.size]
     out = tmp_path / "out.csv"
-    _write_result(str(out), BatchAttribution(metric, h, values), names)
+    with open(out, "wb") as fh:
+        write = _csv_sink(fh, names, metric.pairwise)
+        for start in range(0, rows, 4093):
+            write(start, np.ascontiguousarray(values[start:start + 4093].T).T)
     assert out.read_bytes() == _csv_writer_bytes(names, values, metric.pairwise)
 
 
@@ -252,11 +314,14 @@ def test_missing_background_in_background_mode_exits_2(toy, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--depth-cap", "0"), ("--depth-cap", "31"), ("--verify", "-1"),
+    ("--pipelines", "0"), ("--pipelines", "-2"),
 ])
 def test_out_of_range_numbers_exit_2_when_parsed(toy, capsys, flag, value):
+    argv = ["selftest", flag, value] if flag == "--pipelines" else \
+        ["compute", "--model", toy["model"], "--consumers", toy["consumers"],
+         flag, value, "--out", str(toy["dir"] / "x.csv")]
     with pytest.raises(SystemExit) as exc:
-        main(["compute", "--model", toy["model"], "--consumers", toy["consumers"],
-              flag, value, "--out", str(toy["dir"] / "x.csv")])
+        main(argv)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (toy["dir"] / "x.csv").exists()

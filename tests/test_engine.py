@@ -1,6 +1,9 @@
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +460,98 @@ def test_block_size_and_threads_do_not_change_results():
                     for b in (1, 7, 4096) for t in (1, 3)]
             for values in runs[1:]:
                 np.testing.assert_array_equal(values, runs[0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 50])
+def test_sink_gets_each_row_once_in_order(n):
+    # The sink contract: blocks arrive on the calling thread, in row order,
+    # covering every row exactly once, and their copies concatenate to the
+    # default values bit for bit.
+    rng = np.random.default_rng(37)
+    ens = random_ensemble(rng, 3, 4, max_depth=4)
+    C = random_data(rng, n, 4)
+    B = random_data(rng, 9, 4)
+    caller = threading.get_ident()
+    for kind in (MetricKind.SHAPLEY, MetricKind.BANZHAF_IV):
+        for background in (B, None):
+            default = woodelf(ens, C, background, kind).values
+            for threads in (1, 2, 3):
+                for block_size in (1, 7, max(n, 1)):
+                    got: list = []
+
+                    def sink(start, block):
+                        assert threading.get_ident() == caller
+                        assert block.shape[1] == default.shape[1]
+                        got.append((start, block.copy()))
+
+                    result = woodelf(ens, C, background, kind, threads=threads,
+                                     block_size=block_size, sink=sink)
+                    assert result.values is None
+                    starts = [start for start, _ in got]
+                    ends = [start + len(block) for start, block in got]
+                    assert starts == [0, *ends][:len(starts)] and ends[-1:] == ([n] if n else [])
+                    assert all(len(block) > 0 for _, block in got)
+                    values = np.concatenate([default[:0]] + [b for _, b in got])
+                    assert values.tobytes() == default.tobytes()
+
+
+def test_threaded_gather_never_reuses_a_block_the_sink_holds():
+    # More gathering threads than cores and a short switch interval: while
+    # the sink holds a block, no other thread may write into its buffer.
+    rng = np.random.default_rng(39)
+    ens = random_ensemble(rng, 3, 5, max_depth=4)
+    C = random_data(rng, 300, 5)
+    B = random_data(rng, 7, 5)
+    default = woodelf(ens, C, B, MetricKind.SHAPLEY_IV).values
+    got = []
+
+    def sink(start, block):
+        copy = block.copy()
+        for _ in range(20):
+            time.sleep(0)
+        assert block.tobytes() == copy.tobytes()
+        got.append(copy)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        woodelf(ens, C, B, MetricKind.SHAPLEY_IV, threads=6, block_size=3, sink=sink)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.concatenate(got).tobytes() == default.tobytes()
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_memory_stays_flat_in_rows():
+    # Pairwise output is 66 floats a row. Streamed to a sink that keeps
+    # nothing, the peak grows from 2k to 16k rows by less than the extra
+    # input plus a fixed slack; the default array path, the control, grows
+    # by at least the extra output.
+    rng = np.random.default_rng(38)
+    ens = random_ensemble(rng, 2, 12, max_depth=4)
+    B = random_data(rng, 20, 12)
+    small, large = random_data(rng, 2_000, 12), random_data(rng, 16_000, 12)
+    extra_rows = large.shape[0] - small.shape[0]
+    width = pair_count(12)
+
+    def peak(C, **kwargs) -> int:
+        return _traced_peak(lambda: woodelf(ens, C, B, MetricKind.SHAPLEY_IV,
+                                            block_size=1024, **kwargs))
+
+    def discard(start, block):
+        pass
+
+    streamed = peak(large, sink=discard) - peak(small, sink=discard)
+    assert streamed < extra_rows * 12 * 8 + 256 * 1024
+    assert peak(large) - peak(small) >= extra_rows * width * 8
 
 
 def test_nonpositive_block_size_rejected():

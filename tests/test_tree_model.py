@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,55 @@ def test_load_data_rejects_ragged_row(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("f0,f1\n1,2\n3\n")
     with pytest.raises(DataError, match="line 3"):
+        load_data(str(path), ["f0", "f1"])
+
+
+def test_load_data_values_equal_float_of_each_cell(tmp_path):
+    # Spellings that float() takes and loadtxt does not (underscores,
+    # non-ASCII digits) are read the slow way, with the same values.
+    cells = ["1.5", "-0", "+2", " 3.25 ", "1e-400", "5e-324", "0.1", "1_0", "１.５",
+             "٣", '"7"', "123456789012345678901234567890", "2.2250738585072014e-308"]
+    for spelled in (cells[:7] + cells[10:], cells):
+        path = tmp_path / "data.csv"
+        path.write_text("f0,f1\n" + "".join(f"{c},{c}\n" for c in spelled),
+                        encoding="utf-8")
+        expected = [float(c.strip('"')) for c in spelled]
+        got = load_data(str(path), ["f0", "f1"]).values
+        assert got.tobytes() == np.array([expected, expected]).T.tobytes()
+
+
+def test_load_data_ignores_an_extra_text_column(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('name,f1,f0\nalice,2,1\n"bob, jr",4,3\n,6,5\n')
+    table = load_data(str(path), ["f0", "f1"])
+    np.testing.assert_array_equal(table.values, [[1, 2], [3, 4], [5, 6]])
+
+
+def test_load_data_header_only_or_blank_body_has_no_rows(tmp_path):
+    path = tmp_path / "data.csv"
+    for body in ("", "\n", "\r\n\n"):
+        path.write_text("f0,f1\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = load_data(str(path), ["f0", "f1"])
+        assert table.values.shape == (0, 2)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("1,2\n3,4,5\n", "line 3 has 3 cells"),
+    ("1,2,3\n4,5,6\n", "line 2 has 3 cells"),
+    ("1,2\n\n3\n", "line 4 has 1 cells"),
+    ("1,2\n3,x\n", "line 3, column 'f1': non-numeric"),
+    ("1_0,2\n3,4\nx,1\n", "line 4, column 'f0': non-numeric"),
+    ("1,2\n-inf,4\n", "line 3, column 'f0': missing value"),
+    ("1,1e500\n", "line 2, column 'f1': missing value"),
+    ("1,NaN\n", "line 2, column 'f1': missing value"),
+], ids=["long-row", "all-rows-long", "short-row-after-blank", "text",
+        "text-after-underscore-digits", "minus-inf", "overflow", "nan"])
+def test_load_data_names_the_line_and_column_of_a_bad_row(tmp_path, body, message):
+    path = tmp_path / "data.csv"
+    path.write_text("f0,f1\n" + body)
+    with pytest.raises(DataError, match=message):
         load_data(str(path), ["f0", "f1"])
 
 
