@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import csv
 import io
 import itertools
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -181,20 +183,15 @@ def cmd_compute(args) -> int:
         keep(0, result.values)
         _write_json(args.out, result, list(ensemble.feature_names))
     else:
-        with open(args.out, "wb") as fh:
+        with _output_file(args.out, "wb") as fh:
             write = _csv_sink(fh, ensemble.feature_names, metric.pairwise)
 
             def sink(start: int, block: np.ndarray) -> None:
                 write(start, block)
                 keep(start, block)
 
-            try:
-                woodelf(ensemble, consumers, background, metric,
-                        threads=args.threads, sink=sink)
-            except BaseException:
-                fh.close()
-                os.remove(args.out)     # no partial output from a failed run
-                raise
+            woodelf(ensemble, consumers, background, metric,
+                    threads=args.threads, sink=sink)
     print(f"wrote {consumers.num_rows} rows to {args.out}")
 
     if args.verify > 0:
@@ -263,6 +260,40 @@ def _oracle_deviation(ensemble, consumers: np.ndarray, background,
     return worst
 
 
+@contextlib.contextmanager
+def _output_file(path: str, mode: str, **kwargs):
+    """Open ``path`` for writing so that a failed run leaves it as it was.
+    A new file, or an existing regular file that is not a symbolic link, is
+    written under a fresh name beside it, which replaces ``path`` only when
+    the block ends without an exception; on a failure (Ctrl-C included) only
+    that temporary file is removed. Anything else (a symbolic link, a device
+    such as ``/dev/stdout``, a pipe) is written in place and never removed."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    directory, name = os.path.split(os.path.abspath(path))
+    part = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.part")
+    try:
+        fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise WoodelfError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+
+
 def _csv_cell(text: str) -> str:
     """``text`` as ``csv.writer`` renders it inside a row of several cells."""
     buf = io.StringIO()
@@ -328,7 +359,7 @@ def _write_json(path: str, result, names) -> None:
                 "values": {names[k]: float(result.values[r, k]) for k in range(h)},
             })
     doc["rows"] = rows
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output_file(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 

@@ -283,12 +283,15 @@ def _gather_block(plan: Sequence[tuple[Tree, SubtreeBlocks, Tables]],
 
 
 def _gather(plan: Sequence[tuple[Tree, SubtreeBlocks, Tables]], consumers: np.ndarray,
-            width: int, block_size: int, threads: int, sink: Sink) -> None:
+            width: int, block_size: int, threads: int, sink: Sink,
+            sink_in_worker: bool = False) -> None:
     """Gather the rows in blocks of ``block_size`` and hand each block to
     ``sink`` in row order. With several threads, a pool gathers up to
     ``threads`` blocks ahead, one reused accumulator each, while the calling
     thread feeds the sink; a block's accumulator is reused only after the
-    sink has returned from it."""
+    sink has returned from it. With ``sink_in_worker``, for a sink that only
+    writes its block's own rows of an array, the thread that gathered a block
+    calls the sink, so the copies run in parallel with the other gathers."""
     n = consumers.shape[0]
     # Enough blocks to keep every thread busy on a short input.
     block_size = max(1, min(block_size, -(-n // threads)))
@@ -296,19 +299,26 @@ def _gather(plan: Sequence[tuple[Tree, SubtreeBlocks, Tables]], consumers: np.nd
     ahead = min(threads, len(starts))
     buffers = [np.empty(width * block_size) for _ in range(ahead)]
 
-    def gather(k: int) -> np.ndarray:
+    def gather(k: int) -> tuple[int, np.ndarray]:
         lo = starts[k]
-        return _gather_block(plan, consumers, lo, min(lo + block_size, n), width,
-                             buffers[k % ahead])
+        block = _gather_block(plan, consumers, lo, min(lo + block_size, n), width,
+                              buffers[k % ahead])
+        if sink_in_worker:
+            sink(lo, block)
+        return lo, block
+
+    def feed(done: tuple[int, np.ndarray]) -> None:
+        if not sink_in_worker:
+            sink(*done)
 
     if ahead <= 1:
-        for k, lo in enumerate(starts):
-            sink(lo, gather(k))
+        for k in range(len(starts)):
+            feed(gather(k))
         return
     with ThreadPoolExecutor(max_workers=ahead) as pool:
         pending = deque(pool.submit(gather, k) for k in range(ahead))
-        for k, lo in enumerate(starts):
-            sink(lo, pending.popleft().result())
+        for k in range(len(starts)):
+            feed(pending.popleft().result())
             if k + ahead < len(starts):
                 pending.append(pool.submit(gather, k + ahead))
 
@@ -383,7 +393,8 @@ def woodelf(ensemble: TreeEnsemble,
     such as ``woodelf compute``'s CSV writer, which holds one formatted
     sub-block of text, keeps the total flat in n. With ``threads > 1``, a
     pool gathers up to ``threads`` blocks ahead while the calling thread
-    feeds the sink. Each row is summed in a fixed order (tree, block,
+    feeds the sink (the default sink, which copies each block into
+    ``values``, runs on the thread that gathered it). Each row is summed in a fixed order (tree, block,
     column), so results are bit-identical for any ``threads`` and
     ``block_size``. A background is keyed the same way, one tree at a time,
     and held whole while its keys are counted: one key per block and row, one
@@ -489,7 +500,7 @@ def woodelf(ensemble: TreeEnsemble,
             values[start:start + block.shape[0]] = block
 
     t0 = time.perf_counter()
-    _gather(plan, C, width, block_size, threads, sink)
+    _gather(plan, C, width, block_size, threads, sink, sink_in_worker=values is not None)
     timings["gather"] += time.perf_counter() - t0
 
     return BatchAttribution(metric, h, values, timings)

@@ -2,6 +2,8 @@ import csv
 import io
 import itertools
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -165,11 +167,13 @@ def test_streamed_compute_csv_matches_csv_writer_bytes(tmp_path, capsys, metric,
     assert f"over {min(rows, 5)} rows" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 @pytest.mark.parametrize("cause", ["zero-cover", "verify-over-player-cap"])
-def test_failed_compute_leaves_no_output(toy, capsys, cause):
+def test_failed_compute_leaves_no_output(toy, capsys, cause, existing):
     # A zero cover passes validation but fails path-dependent mode inside
     # woodelf(), after the CSV header is written: the partial file goes.
-    # --verify over the oracle's feature cap fails before any work.
+    # --verify over the oracle's feature cap fails before any work. An
+    # earlier output at --out is left as it was.
     if cause == "zero-cover":
         doc = json.loads(json.dumps(MODEL_DOC))
         doc["trees"][0]["nodes"][3]["cover"] = 0.0
@@ -183,10 +187,84 @@ def test_failed_compute_leaves_no_output(toy, capsys, cause):
     model = toy["dir"] / "model.json"
     model.write_text(json.dumps(doc))
     out = toy["dir"] / "x.csv"
+    if existing:
+        out.write_text("earlier results\n")
+    before = sorted(toy["dir"].iterdir())
     assert main(["compute", "--model", str(model), "--consumers", str(consumers),
                  "--verify", "1", "--out", str(out)]) == 2
-    assert not out.exists()
+    assert sorted(toy["dir"].iterdir()) == before
+    if existing:
+        assert out.read_text() == "earlier results\n"
     assert ("covers" if cause == "zero-cover" else "--verify") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_interrupted_compute_removes_only_its_partial_file(toy, monkeypatch,
+                                                           existing):
+    """Ctrl-C after the first row block was written leaves the directory as
+    it was: the earlier output survives and the partial file is gone."""
+    def interrupted(*args, sink, **kwargs):
+        sink(0, np.zeros((1, 2)))
+        raise KeyboardInterrupt
+    monkeypatch.setattr("woodelf.cli.woodelf", interrupted)
+    out = toy["dir"] / "x.csv"
+    if existing:
+        out.write_text("earlier results\n")
+    before = sorted(toy["dir"].iterdir())
+    with pytest.raises(KeyboardInterrupt):
+        main(["compute", "--model", toy["model"], "--consumers", toy["consumers"],
+              "--background", toy["background"], "--out", str(out)])
+    assert sorted(toy["dir"].iterdir()) == before
+    if existing:
+        assert out.read_text() == "earlier results\n"
+
+
+def test_compute_replaces_an_existing_output_keeping_its_mode(toy):
+    out = toy["dir"] / "x.csv"
+    out.write_text("earlier results\n")
+    out.chmod(0o640)
+    argv = ["compute", "--model", toy["model"], "--consumers", toy["consumers"],
+            "--background", toy["background"]]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + ["--out", str(toy["dir"] / "fresh.csv")]) == 0
+    assert out.read_bytes() == (toy["dir"] / "fresh.csv").read_bytes()
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in toy["dir"].iterdir() if p.name.startswith(".")) == []
+
+
+def test_unwritable_output_exits_2_naming_it(toy, capsys):
+    out = toy["dir"] / "missing" / "x.csv"
+    assert main(["compute", "--model", toy["model"], "--consumers", toy["consumers"],
+                 "--background", toy["background"], "--out", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_compute_writes_through_a_symlink_and_into_a_pipe(toy):
+    """--out that is not a plain file is written in place: a symbolic link
+    stays a link to the file it names, and a failed run into a pipe leaves
+    the pipe where it was."""
+    target = toy["dir"] / "target.csv"
+    link = toy["dir"] / "link.csv"
+    link.symlink_to(target)
+    argv = ["compute", "--model", toy["model"], "--consumers", toy["consumers"]]
+    assert main(argv + ["--background", toy["background"], "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith("row_id,age,sugar\n")
+
+    fifo = toy["dir"] / "pipe.csv"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        doc = json.loads(json.dumps(MODEL_DOC))
+        doc["trees"][0]["nodes"][3]["cover"] = 0.0
+        model = toy["dir"] / "zero_cover.json"
+        model.write_text(json.dumps(doc))
+        assert main(["compute", "--model", str(model), "--consumers",
+                     toy["consumers"], "--out", str(fifo)]) == 2
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.read(reader, 1 << 16).startswith(b"row_id,age,sugar\n")
+    finally:
+        os.close(reader)
 
 
 def _csv_writer_bytes(names, values, pairwise):
