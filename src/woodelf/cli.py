@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration or mode problems, 3 model schema
 problems, 4 data problems (including dimension mismatches), 5 verification
-failures. Output is deterministic for a fixed configuration regardless of
-the thread count.
+failures. ``compute`` streams CSV, or JSON when ``--out`` ends in ``.json``.
+Output is deterministic for a fixed configuration regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ EXIT_VERIFY = 5
 
 ORACLE_TOLERANCE = 1e-9       # internal cross-checks against the exact oracles
 REFERENCE_TOLERANCE = 1e-5    # comparisons against externally produced values
-_CSV_BLOCK = 4096             # values formatted per block of CSV lines
-_NEWLINE = np.array([ord("\n")], np.uint8)
+_TEXT_BLOCK = 4096            # values formatted per sub-block of output text
 
 _METRIC_NAMES = [k.value for k in MetricKind]
 
@@ -82,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="selects baseline mode: a row index into the --background "
                         "CSV when given (else into the consumers CSV), or a CSV "
                         "file whose first row is the baseline")
-    p.add_argument("--out", required=True, help="output file (.csv or .json)")
+    p.add_argument("--out", required=True, help="streamed output: JSON if .json, else CSV")
     p.add_argument("--threads", type=_int_range(1), default=1)
     p.add_argument("--depth-cap", type=_int_range(1, HARD_DEPTH_CAP),
                    default=DEFAULT_DEPTH_CAP)
@@ -148,15 +147,12 @@ def cmd_compute(args) -> int:
     otherwise ``--background`` selects background mode, and with neither the
     run is path-dependent."""
     metric = MetricKind(args.metric)
-    try:
-        ensemble = load_model(args.model, args.format, depth_cap=args.depth_cap)
-    except OSError as exc:
-        raise ModelSchemaError(f"cannot read model {args.model}: {exc}") from exc
-    consumers = _read_csv(args.consumers, ensemble.feature_names)
+    ensemble = load_model(args.model, args.format, depth_cap=args.depth_cap)
+    consumers = load_data(args.consumers, ensemble.feature_names)
 
     background = None
     if args.background is not None:
-        background = _read_csv(args.background, ensemble.feature_names)
+        background = load_data(args.background, ensemble.feature_names)
 
     if args.baseline_row is not None:
         background = _resolve_baseline(args.baseline_row, ensemble, consumers,
@@ -173,42 +169,28 @@ def cmd_compute(args) -> int:
     sample = _verify_rows(ensemble, consumers.num_rows, args.verify)
     kept: dict[int, np.ndarray] = {}
 
-    def keep(start: int, block: np.ndarray) -> None:
-        for r in sample[bisect.bisect_left(sample, start):
-                        bisect.bisect_left(sample, start + len(block))]:
-            kept[r] = block[r - start].copy()
+    with _output_file(args.out) as fh:
+        write, close = _text_sink(fh, metric, ensemble.feature_names,
+                                  as_json=args.out.endswith(".json"))
 
-    if args.out.endswith(".json"):
-        result = woodelf(ensemble, consumers, background, metric, threads=args.threads)
-        keep(0, result.values)
-        _write_json(args.out, result, list(ensemble.feature_names))
-    else:
-        with _output_file(args.out, "wb") as fh:
-            write = _csv_sink(fh, ensemble.feature_names, metric.pairwise)
+        def sink(start: int, block: np.ndarray) -> None:
+            write(start, block)
+            for r in sample[bisect.bisect_left(sample, start):
+                            bisect.bisect_left(sample, start + len(block))]:
+                kept[r] = block[r - start].copy()
 
-            def sink(start: int, block: np.ndarray) -> None:
-                write(start, block)
-                keep(start, block)
-
-            woodelf(ensemble, consumers, background, metric,
-                    threads=args.threads, sink=sink)
-    print(f"wrote {consumers.num_rows} rows to {args.out}")
+        woodelf(ensemble, consumers, background, metric, threads=args.threads, sink=sink)
+        close(consumers.num_rows)
+    print(f"wrote {consumers.num_rows} rows to {args.out}", file=sys.stderr)
 
     if args.verify > 0:
         dev = _oracle_deviation(ensemble, consumers.values, background, metric, kept)
         print(f"verify: max abs deviation {dev:.3e} vs oracle over "
-              f"{len(kept)} rows (tolerance {ORACLE_TOLERANCE:g})")
+              f"{len(kept)} rows (tolerance {ORACLE_TOLERANCE:g})", file=sys.stderr)
         if dev > ORACLE_TOLERANCE:
             raise VerificationError(
                 f"oracle deviation {dev:.3e} exceeds {ORACLE_TOLERANCE:g}")
     return EXIT_OK
-
-
-def _read_csv(path: str, feature_names) -> DataMatrix:
-    try:
-        return load_data(path, feature_names)
-    except OSError as exc:
-        raise DataError(f"cannot read data file {path}: {exc}") from exc
 
 
 def _resolve_baseline(spec: str, ensemble: TreeEnsemble,
@@ -217,7 +199,7 @@ def _resolve_baseline(spec: str, ensemble: TreeEnsemble,
     try:
         index = int(spec)
     except ValueError:
-        table = _read_csv(spec, ensemble.feature_names)
+        table = load_data(spec, ensemble.feature_names)
         if table.num_rows == 0:
             raise DataError(f"{spec}: baseline file has no rows") from None
         return table.values[0]
@@ -261,8 +243,8 @@ def _oracle_deviation(ensemble, consumers: np.ndarray, background,
 
 
 @contextlib.contextmanager
-def _output_file(path: str, mode: str, **kwargs):
-    """Open ``path`` for writing so that a failed run leaves it as it was.
+def _output_file(path: str):
+    """Open ``path`` for binary writing so that a failed run leaves it as it was.
     A new file, or an existing regular file that is not a symbolic link, is
     written under a fresh name beside it, which replaces ``path`` only when
     the block ends without an exception; on a failure (Ctrl-C included) only
@@ -273,7 +255,7 @@ def _output_file(path: str, mode: str, **kwargs):
     except FileNotFoundError:
         st = None
     if st is not None and not stat.S_ISREG(st.st_mode):
-        with open(path, mode, **kwargs) as fh:
+        with open(path, "wb") as fh:
             yield fh
         return
     directory, name = os.path.split(os.path.abspath(path))
@@ -283,7 +265,7 @@ def _output_file(path: str, mode: str, **kwargs):
     except OSError as exc:
         raise WoodelfError(f"cannot write {path}: {exc.strerror}") from exc
     try:
-        with os.fdopen(fd, mode, **kwargs) as fh:
+        with os.fdopen(fd, "wb") as fh:
             if st is not None:
                 os.fchmod(fd, stat.S_IMODE(st.st_mode))
             yield fh
@@ -301,67 +283,67 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_sink(fh, feature_names, pairwise: bool):
-    """Write the CSV header to the binary file ``fh`` and return a
-    ``woodelf()`` sink that writes each row block after it. The file holds
-    the bytes ``csv.writer`` writes for the row ids, the feature names and
-    ``repr`` of each value. ``csvtext`` builds them a sub-block of about
-    ``_CSV_BLOCK`` values at a time: each value follows its head, which is
-    "," in the one-row-per-consumer layout and ",<feature_i>,<feature_j>,"
-    in the one-row-per-pair layout."""
-    cells = [_csv_cell(name) for name in feature_names]
-    if pairwise:
-        header = "row_id,feature_i,feature_j,value"
-        heads = csvtext.text_field(
-            [f",{a},{b}," for a, b in itertools.combinations(cells, 2)])
+def _text_sink(fh, metric: MetricKind, names, as_json: bool):
+    """Write the header of ``compute``'s output to the binary file ``fh``
+    and return ``(write, close)``: the ``woodelf()`` sink that writes each
+    row block, and ``close(rows)``, which ends the file. The bytes are those
+    ``csv.writer`` gives for the row ids, feature names and ``repr`` of each
+    value (a line per consumer, or per pair for an interaction metric), or
+    ``json.dump(doc, fh, indent=1)`` and a newline for the same rows.
+
+    Each layout is data for one loop over sub-blocks of about ``_TEXT_BLOCK``
+    values: a row is its id inside ``opening`` (in the CSV pair layout the
+    id starts each value's line instead), then each value between its head
+    and ``value_end``, then ``row_end``. A JSON row opens with the comma
+    that parts it from the row before; the first row drops it."""
+    pairs = list(itertools.combinations(range(len(names)), 2))
+    if as_json:
+        quoted = [json.dumps(name) for name in names]
+        doc = {"metric": metric.value, "feature_names": names, "rows": []}
+        header = json.dumps(doc, indent=1)[:-len("]\n}")]    # up to the row list's "["
+        if metric.pairwise:
+            key, value_end = '"pairs": [', "\n    }"
+            heads = [f'\n    {{\n     "feature_i": {quoted[i]},\n     '
+                     f'"feature_j": {quoted[j]},\n     "value": ' for i, j in pairs]
+        else:
+            key, value_end, heads = '"values": {', "", [f"\n    {q}: " for q in quoted]
+        row_end = ("\n   " if heads else "") + ("]" if metric.pairwise else "}") + "\n  }"
+        heads = [("," if c else "") + head for c, head in enumerate(heads)]
+        opening = (',\n  {\n   "row_id": ', ",\n   " + key)
+        id_per_value, lead, spell, trailers = False, 1, json.dumps, ("]\n}\n", "\n ]\n}\n")
     else:
-        header = ",".join(["row_id", *cells])
-        heads = np.full((len(cells), 1), ord(","), np.uint8)
-    fh.write(header.encode("utf-8") + b"\n")
-    step = max(1, _CSV_BLOCK // max(len(heads), 1))
+        cells = [_csv_cell(name) for name in names]
+        if metric.pairwise:
+            header = "row_id,feature_i,feature_j,value\n"
+            heads = [f",{cells[i]},{cells[j]}," for i, j in pairs]
+            value_end, row_end = "\n", ""
+        else:
+            header = ",".join(["row_id", *cells]) + "\n"
+            heads, value_end, row_end = [","] * len(cells), "", "\n"
+        opening, trailers = ("", ""), ("", "")
+        id_per_value, lead, spell = metric.pairwise, 0, repr
+    before, after, value_end, row_end = (csvtext.text_field([t])
+                                         for t in (*opening, value_end, row_end))
+    heads = csvtext.text_field(heads)
+    fh.write(header.encode("utf-8"))
+    step = max(1, _TEXT_BLOCK // max(len(heads), 1))
+
+    def lines(first: int, rows: np.ndarray) -> bytes:   # frees its arrays on return
+        ids = csvtext.text_field(map(str, range(first, first + len(rows))))
+        texts = csvtext.repr_field(rows, spell)
+        texts = texts.reshape(len(rows), len(heads), texts.shape[-1])
+        row_id, value_id = (ids[:1, :0], ids[:, None]) if id_per_value else (ids, ids[:1, :0])
+        cells = csvtext.join(value_id, heads, texts, value_end).reshape(len(rows), -1)
+        return csvtext.pack(before, row_id, after, cells, row_end)[0 if first else lead:]
 
     def write(start: int, block: np.ndarray) -> None:
         for lo in range(0, len(block), step):
-            rows = block[lo:lo + step]
-            ids = csvtext.text_field(map(str, range(start + lo, start + lo + len(rows))))
-            texts = csvtext.repr_field(rows)
-            texts = texts.reshape(len(rows), len(heads), texts.shape[-1])
-            if pairwise:
-                fh.write(csvtext.pack(ids[:, None, :], heads, texts, _NEWLINE))
-            else:
-                row_cells = csvtext.join(heads, texts).reshape(len(rows), -1)
-                fh.write(csvtext.pack(ids, row_cells, _NEWLINE))
+            fh.write(lines(start + lo, block[lo:lo + step]))
 
-    return write
+    def close(rows: int) -> None:
+        fh.write(trailers[rows > 0].encode("utf-8"))
 
-
-def _write_json(path: str, result, names) -> None:
-    h = len(names)
-    doc: dict = {
-        "metric": result.metric.value,
-        "feature_names": names,
-    }
-    rows = []
-    if result.pairwise:
-        for r in range(result.values.shape[0]):
-            col = 0
-            pairs = []
-            for i in range(h):
-                for j in range(i + 1, h):
-                    pairs.append({"feature_i": names[i], "feature_j": names[j],
-                                  "value": float(result.values[r, col])})
-                    col += 1
-            rows.append({"row_id": r, "pairs": pairs})
-    else:
-        for r in range(result.values.shape[0]):
-            rows.append({
-                "row_id": r,
-                "values": {names[k]: float(result.values[r, k]) for k in range(h)},
-            })
-    doc["rows"] = rows
-    with _output_file(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    return write, close
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +480,8 @@ def _reference_check(path: str) -> Check:
     - ``baseline_row``: one row, for baseline mode;
     - ``values`` for single-variable metrics: one list of per-feature values
       per consumer row; or ``pairs`` for interaction metrics: a list of
-      ``[row_id, feature_i, feature_j, value]``.
+      ``[row_id, feature_i, feature_j, value]`` with ``row_id`` a consumer
+      row and ``feature_i < feature_j``.
 
     ``tests/test_cli.py::_reference_doc`` builds an example."""
     try:
@@ -518,9 +501,15 @@ def _reference_check(path: str) -> Check:
             background = np.asarray(doc["baseline_row"], dtype=np.float64).reshape(1, -1)
         elif mode == "background":
             background = np.asarray(doc["background"], dtype=np.float64)
+        if not isinstance(model, (dict, str)):
+            raise TypeError(f"'model' is {type(model).__name__}, not a document or a path")
         if metric.pairwise:
             pairs = [(int(row_id), int(i), int(j), float(value))
                      for row_id, i, j, value in doc["pairs"]]
+            n, h = consumers.shape
+            for k, (row_id, i, j, _) in enumerate(pairs):
+                if not (0 <= row_id < n and 0 <= i < j < h):
+                    raise ValueError(f"pairs[{k}] needs 0 <= row_id < {n}, 0 <= i < j < {h}")
         else:
             expected = np.asarray(doc["values"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:

@@ -146,19 +146,20 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prod.astype(np.int64) + carry.astype(np.int64), rest - carry
 
 
-def repr_field(values: np.ndarray) -> np.ndarray:
+def repr_field(values: np.ndarray, spell=repr) -> np.ndarray:
     """An ``(n, w)`` uint8 array: row ``i``, with its ``PAD`` bytes dropped,
     is the ASCII text of ``repr(float(values.flat[i]))``. ``w`` is ``FIELD``,
-    or 25 when no value needs an exponent or a trailing ``.0``."""
+    or 25 when no value needs an exponent or a trailing ``.0``; the
+    values left to ``repr``, nan and infinities among them, take ``spell``'s."""
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
     out = np.empty((v.size, FIELD), np.uint8)
     for start in range(0, v.size, _CHUNK):
-        _repr_chunk(v[start:start + _CHUNK], out[start:start + _CHUNK])
+        _repr_chunk(v[start:start + _CHUNK], out[start:start + _CHUNK], spell)
     tail = out.view("<u8")[:, _TAIL // 8] | np.uint64(2 ** (8 * (_TAIL % 8)) - 1)
     return out if (tail != _ALL_PAD).any() else out[:, :_TAIL]
 
 
-def _repr_chunk(v: np.ndarray, out: np.ndarray) -> None:
+def _repr_chunk(v: np.ndarray, out: np.ndarray, spell) -> None:
     n = v.size
     bits = v.view(np.uint64)
     a = np.abs(v)
@@ -231,7 +232,7 @@ def _repr_chunk(v: np.ndarray, out: np.ndarray) -> None:
 
     slow = np.flatnonzero(fallback)
     if slow.size:
-        out[slow] = text_field([repr(x) for x in v[slow].tolist()], FIELD)
+        out[slow] = text_field([spell(x) for x in v[slow].tolist()], FIELD)
 
 
 def text_field(texts, width: int | None = None) -> np.ndarray:
@@ -245,10 +246,13 @@ def text_field(texts, width: int | None = None) -> np.ndarray:
 
 
 def join(*fields: np.ndarray) -> np.ndarray:
-    """Fields side by side along the last axis; the others broadcast."""
+    """Fields side by side along the last axis; the others broadcast. Empty
+    fields add nothing, and a single field left is returned uncopied."""
     shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
-    return np.concatenate([np.broadcast_to(f, shape + f.shape[-1:]) for f in fields],
-                          axis=-1)
+    wide = [np.broadcast_to(f, shape + f.shape[-1:]) for f in fields if f.shape[-1]]
+    if len(wide) == 1:
+        return wide[0]
+    return np.concatenate(wide or [np.empty(shape + (0,), np.uint8)], axis=-1)
 
 
 def pack(*fields: np.ndarray) -> bytes:

@@ -22,8 +22,8 @@ from one comparison per distinct split feature (``calc_decision_patterns``
 given the tree's blocks), the keys index the block tables, and the values
 accumulate feature-major in a small, reused (columns x block rows) buffer
 that is then handed to a sink: by default one that copies it into the output
-array, in ``woodelf compute`` one that writes it as CSV text, so the output
-is never held whole. Per-row results are summed in a fixed order
+array, in ``woodelf compute`` one that writes it as CSV or JSON text, so the
+output is never held whole. Per-row results are summed in a fixed order
 (tree, block, column), so output is reproducible bit for bit regardless of
 the thread count and the block size.
 """
@@ -390,8 +390,8 @@ def woodelf(ensemble: TreeEnsemble,
     gathering thread, one key buffer (a split outcome per inner node and one
     key per block and prefix, for each row of the block), whatever the row
     count. The default sink adds the (n x width) output; a streaming sink,
-    such as ``woodelf compute``'s CSV writer, which holds one formatted
-    sub-block of text, keeps the total flat in n. With ``threads > 1``, a
+    such as ``woodelf compute``'s CSV and JSON writer, which holds one
+    formatted sub-block of text, keeps the total flat in n. With ``threads > 1``, a
     pool gathers up to ``threads`` blocks ahead while the calling thread
     feeds the sink (the default sink, which copies each block into
     ``values``, runs on the thread that gathered it). Each row is summed in a fixed order (tree, block,

@@ -140,6 +140,9 @@ class TreeEnsemble:
             raise ModelSchemaError(
                 f"{len(names)} feature names for {self.num_features} features"
             )
+        if len(set(names)) < len(names):
+            repeated = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ModelSchemaError(f"feature name {repeated!r} is given twice")
 
     def max_depth(self) -> int:
         return max((t.depth() for t in self.trees), default=0)
@@ -155,9 +158,9 @@ def validate_ensemble(ensemble: TreeEnsemble, depth_cap: int = DEFAULT_DEPTH_CAP
     """Check structural invariants, raising ModelSchemaError with a location.
 
     Verifies: at least one tree, child indices in range, every arena node
-    reachable exactly once from the root (single root, acyclic), feature ids
-    below num_features, depth within the cap, and cover positivity plus
-    parent >= child monotonicity wherever covers are present.
+    reachable exactly once from the root, feature ids below num_features,
+    depth within the cap, finite thresholds, leaf weights and covers, and
+    cover positivity plus parent >= child monotonicity where covers are given.
     """
     if not 0 < depth_cap <= HARD_DEPTH_CAP:
         raise ModelSchemaError(
@@ -177,9 +180,14 @@ def validate_ensemble(ensemble: TreeEnsemble, depth_cap: int = DEFAULT_DEPTH_CAP
                 raise ModelSchemaError(f"tree {t}: node {idx} reachable twice (cycle or shared child)")
             seen.add(idx)
             node = tree.nodes[idx]
+            if node.cover is not None and not math.isfinite(node.cover):
+                raise ModelSchemaError(f"tree {t}: node {idx} has a non-finite cover")
+            if require_covers and (node.cover is None or node.cover <= 0):
+                raise ModelSchemaError(f"tree {t}: node {idx} lacks a positive cover "
+                                       "(required for path-dependent mode)")
             if node.is_leaf:
-                if node.leaf_weight is None:
-                    raise ModelSchemaError(f"tree {t}: leaf {idx} has no weight")
+                if node.leaf_weight is None or not math.isfinite(node.leaf_weight):
+                    raise ModelSchemaError(f"tree {t}: leaf {idx} has no finite weight")
                 continue
             if depth + 1 > depth_cap:
                 raise ModelSchemaError(
@@ -206,14 +214,6 @@ def validate_ensemble(ensemble: TreeEnsemble, depth_cap: int = DEFAULT_DEPTH_CAP
             raise ModelSchemaError(
                 f"tree {t}: {n - len(seen)} arena nodes unreachable from the root"
             )
-        if require_covers:
-            for idx in seen:
-                cover = tree.nodes[idx].cover
-                if cover is None or cover <= 0:
-                    raise ModelSchemaError(
-                        f"tree {t}: node {idx} lacks a positive cover "
-                        "(required for path-dependent mode)"
-                    )
     return ensemble
 
 
@@ -312,8 +312,11 @@ def load_model(path: str, format: str = "native",
     raises ``ModelSchemaError``. The booster dump's ``yes`` branch tests
     strict ``<`` and is normalized to "left".
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ModelSchemaError(f"cannot read model {path}: {exc}") from exc
     if format == "native":
         ensemble = _parse_native(text)
     elif format == "xgb":
@@ -500,7 +503,11 @@ def load_data(path: str, feature_names: Sequence[str]) -> DataMatrix:
     non-ASCII digits); the values are the same either way.
     """
     feature_names = list(feature_names)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read data file {path}: {exc}") from exc
+    with fh:
         # The header's lines come from readline, so the body's offset is known.
         try:
             header = next(csv.reader(iter(fh.readline, "")))

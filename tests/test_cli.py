@@ -4,11 +4,14 @@ import itertools
 import json
 import os
 import stat
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from woodelf.cli import _csv_sink, main
+from woodelf.cli import _text_sink, main
 from woodelf.engine import woodelf
 from woodelf.formula_core import MetricKind
 from woodelf.oracle import exact_attribution, tree_characteristic
@@ -70,9 +73,10 @@ def test_compute_background_shapley_csv(toy, capsys):
     np.testing.assert_allclose(values.sum(axis=1), expected, atol=1e-9)
 
 
-def test_compute_output_is_deterministic_across_threads(toy):
-    out1 = toy["dir"] / "a.csv"
-    out2 = toy["dir"] / "b.csv"
+@pytest.mark.parametrize("suffix", [".csv", ".json"], ids=["csv", "json"])
+def test_compute_output_is_deterministic_across_threads(toy, suffix):
+    out1 = toy["dir"] / f"a{suffix}"
+    out2 = toy["dir"] / f"b{suffix}"
     base = ["compute", "--model", toy["model"], "--consumers", toy["consumers"],
             "--background", toy["background"], "--metric", "banzhaf-iv"]
     assert main(base + ["--out", str(out1), "--threads", "1"]) == 0
@@ -164,14 +168,18 @@ def test_streamed_compute_csv_matches_csv_writer_bytes(tmp_path, capsys, metric,
     expected = _csv_writer_bytes(names, woodelf(ens, C, B, metric).values,
                                  metric.pairwise)
     assert out.read_bytes() == expected
-    assert f"over {min(rows, 5)} rows" in capsys.readouterr().out
+    assert f"over {min(rows, 5)} rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-@pytest.mark.parametrize("cause", ["zero-cover", "verify-over-player-cap"])
-def test_failed_compute_leaves_no_output(toy, capsys, cause, existing):
+@pytest.mark.parametrize("cause, suffix", [
+    ("zero-cover", ".csv"), ("verify-over-player-cap", ".csv"),
+    ("zero-cover", ".json"), ("verify-over-player-cap", ".json"),
+], ids=["zero-cover", "verify-over-player-cap",
+        "zero-cover-json", "verify-over-player-cap-json"])
+def test_failed_compute_leaves_no_output(toy, capsys, cause, suffix, existing):
     # A zero cover passes validation but fails path-dependent mode inside
-    # woodelf(), after the CSV header is written: the partial file goes.
+    # woodelf(), after the header is written: the partial file goes.
     # --verify over the oracle's feature cap fails before any work. An
     # earlier output at --out is left as it was.
     if cause == "zero-cover":
@@ -186,7 +194,7 @@ def test_failed_compute_leaves_no_output(toy, capsys, cause, existing):
                    header=",".join(doc["feature_names"]), comments="")
     model = toy["dir"] / "model.json"
     model.write_text(json.dumps(doc))
-    out = toy["dir"] / "x.csv"
+    out = toy["dir"] / f"x{suffix}"
     if existing:
         out.write_text("earlier results\n")
     before = sorted(toy["dir"].iterdir())
@@ -198,16 +206,19 @@ def test_failed_compute_leaves_no_output(toy, capsys, cause, existing):
     assert ("covers" if cause == "zero-cover" else "--verify") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("existing, suffix", [
+    (False, ".csv"), (True, ".csv"), (False, ".json"), (True, ".json"),
+], ids=["new", "existing", "new-json", "existing-json"])
 def test_interrupted_compute_removes_only_its_partial_file(toy, monkeypatch,
-                                                           existing):
+                                                           existing, suffix):
     """Ctrl-C after the first row block was written leaves the directory as
-    it was: the earlier output survives and the partial file is gone."""
+    it was: the earlier output survives and the partial file is gone. The
+    stub takes ``sink`` as a required keyword: both formats stream."""
     def interrupted(*args, sink, **kwargs):
         sink(0, np.zeros((1, 2)))
         raise KeyboardInterrupt
     monkeypatch.setattr("woodelf.cli.woodelf", interrupted)
-    out = toy["dir"] / "x.csv"
+    out = toy["dir"] / f"x{suffix}"
     if existing:
         out.write_text("earlier results\n")
     before = sorted(toy["dir"].iterdir())
@@ -267,6 +278,59 @@ def test_compute_writes_through_a_symlink_and_into_a_pipe(toy):
         os.close(reader)
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_compute_into_piped_stdout_gives_the_file_bytes(toy, suffix):
+    """Status lines go to stderr, so ``--out /dev/stdout`` into a pipe
+    carries exactly the bytes of the same run to a file. The format comes
+    from the suffix, so JSON goes through a link ending in ``.json``."""
+    src = os.path.dirname(os.path.dirname(sys.modules["woodelf"].__file__))
+    argv = [sys.executable, "-m", "woodelf", "compute", "--model", toy["model"],
+            "--consumers", toy["consumers"], "--background", toy["background"],
+            "--metric", "shapley-iv", "--verify", "2", "--out"]
+    env = dict(os.environ, PYTHONPATH=src)
+    out = toy["dir"] / f"out{suffix}"
+    stdout = "/dev/stdout"
+    if suffix == ".json":
+        stdout = toy["dir"] / "stdout.json"
+        stdout.symlink_to("/dev/stdout")
+    subprocess.run(argv + [str(out)], check=True, capture_output=True, timeout=60, env=env)
+    piped = subprocess.run(argv + [str(stdout)], check=True, capture_output=True,
+                           timeout=60, env=env)
+    assert piped.stdout == out.read_bytes()
+    assert b"wrote 2 rows" in piped.stderr and b"verify:" in piped.stderr
+
+
+def test_streamed_json_memory_stays_flat_in_rows(tmp_path):
+    # JSON streams like CSV: from 2k to 16k consumer rows of a pairwise
+    # metric (66 values a row, about 75 MB more JSON), the peak grows by less
+    # than the extra consumers CSV plus a fixed slack. The output goes
+    # through a symbolic link to the null device.
+    rng = np.random.default_rng(38)
+    ens = random_ensemble(rng, 2, 12, max_depth=4)
+    model = tmp_path / "model.json"
+    save_model(ens, str(model))
+    paths = {}
+    for label, rows in (("background", 20), ("small", 2_000), ("large", 16_000)):
+        paths[label] = tmp_path / f"{label}.csv"
+        np.savetxt(paths[label], random_data(rng, rows, 12), fmt="%.17g", delimiter=",",
+                   header=",".join(ens.feature_names), comments="")
+    out = tmp_path / "out.json"
+    out.symlink_to(os.devnull)
+
+    def peak(consumers) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["compute", "--model", str(model), "--consumers", str(consumers),
+                         "--background", str(paths["background"]),
+                         "--metric", "shapley-iv", "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extra_input = paths["large"].stat().st_size - paths["small"].stat().st_size
+    assert peak(paths["large"]) - peak(paths["small"]) < extra_input + 256 * 1024
+
+
 def _csv_writer_bytes(names, values, pairwise):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -284,7 +348,8 @@ def _csv_writer_bytes(names, values, pairwise):
 
 
 CRAFTED = [1e-7, 1e20, -0.0, 0.0, 5e-324, 3.0, -42.0, 1e16, 2.0**53, 0.1, 1e-5,
-           12345.678, 1e-4, 123456789012345.0, float("nan"), float("inf")]
+           12345.678, 1e-4, 123456789012345.0, float("nan"), float("inf"),
+           float("-inf")]
 
 
 @pytest.mark.parametrize("metric", [MetricKind.SHAPLEY, MetricKind.SHAPLEY_IV])
@@ -293,24 +358,80 @@ CRAFTED = [1e-7, 1e20, -0.0, 0.0, 5e-324, 3.0, -42.0, 1e16, 2.0**53, 0.1, 1e-5,
     (10_000, ['we,ird "name"', "naïve €", "plain"]),
     (3, ["solo"]),
 ])
-def test_write_result_matches_csv_writer_and_repr(tmp_path, metric, rows, names):
-    """Both layouts of ``compute``'s CSV sink equal csv.writer over repr of
-    each value, byte for byte: crafted values, names that need quoting or are
-    not ASCII, and 10,000 rows, which span several row blocks and CSV
-    sub-blocks and row ids of 1 to 4 digits. Blocks arrive as the gather
-    hands them over, as (rows x width) views of a feature-major buffer."""
-    h = len(names)
+def test_write_result_matches_csv_writer_and_repr(metric, rows, names):
+    """Both CSV layouts of ``compute``'s writer equal csv.writer over repr
+    of each value, byte for byte: crafted values, names that need quoting or
+    are not ASCII, and 10,000 rows, which span several row blocks and
+    sub-blocks and row ids of 1 to 4 digits."""
+    values = _crafted_values(metric, rows, len(names))
+    assert _written(metric, names, values, as_json=False) == \
+        _csv_writer_bytes(names, values, metric.pairwise)
+
+
+def _crafted_values(metric, rows, h):
     width = h * (h - 1) // 2 if metric.pairwise else h
     rng = np.random.default_rng(rows)
     values = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-20, 20, (rows, width))
     spots = rng.choice(values.size, size=min(len(CRAFTED), values.size), replace=False)
     values.flat[spots] = CRAFTED[:spots.size]
-    out = tmp_path / "out.csv"
-    with open(out, "wb") as fh:
-        write = _csv_sink(fh, names, metric.pairwise)
-        for start in range(0, rows, 4093):
-            write(start, np.ascontiguousarray(values[start:start + 4093].T).T)
-    assert out.read_bytes() == _csv_writer_bytes(names, values, metric.pairwise)
+    return values
+
+
+def _written(metric, names, values, as_json):
+    """The bytes ``compute``'s writer gives for ``values``, fed in 4,093-row
+    blocks as the gather hands them over: (rows x width) views of a
+    feature-major buffer."""
+    buf = io.BytesIO()
+    write, close = _text_sink(buf, metric, names, as_json)
+    for start in range(0, len(values), 4093):
+        write(start, np.ascontiguousarray(values[start:start + 4093].T).T)
+    close(len(values))
+    return buf.getvalue()
+
+
+def _json_dump_bytes(metric, names, values):
+    """``json.dump`` of the whole result as one document, with indent 1 and
+    a final newline: the JSON writer's reference."""
+    h = len(names)
+    doc: dict = {"metric": metric.value, "feature_names": names}
+    rows = []
+    if metric.pairwise:
+        for r in range(values.shape[0]):
+            col = 0
+            pairs = []
+            for i in range(h):
+                for j in range(i + 1, h):
+                    pairs.append({"feature_i": names[i], "feature_j": names[j],
+                                  "value": float(values[r, col])})
+                    col += 1
+            rows.append({"row_id": r, "pairs": pairs})
+    else:
+        for r in range(values.shape[0]):
+            rows.append({
+                "row_id": r,
+                "values": {names[k]: float(values[r, k]) for k in range(h)},
+            })
+    doc["rows"] = rows
+    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+@pytest.mark.parametrize("rows, names", [
+    (4, ['quo"te', "back\\slash", "multi\nline", "naïve €", "plain"]),
+    (10_000, ['quo"te', "naïve €", "plain"]),
+    (1, ["solo"]),
+    (0, ["a", "b"]),
+    (2, []),
+])
+def test_json_writer_matches_json_dump(metric, rows, names):
+    """The JSON layouts equal ``json.dump(doc, indent=1)`` and a newline,
+    byte for byte: names that need escapes, crafted values (nan and the
+    infinities in JSON's spelling, -0.0, 5e-324), 10,000 rows over several
+    row blocks and sub-blocks, one feature or none (no value columns), and
+    no rows."""
+    values = _crafted_values(metric, rows, len(names))
+    assert _written(metric, names, values, as_json=True) == \
+        _json_dump_bytes(metric, names, values)
 
 
 def test_compute_json_mirrors_csv(toy):
@@ -482,7 +603,7 @@ def test_verify_flag_reports_and_passes(toy, capsys):
     code = main(["compute", "--model", toy["model"], "--consumers",
                  toy["consumers"], "--background", toy["background"],
                  "--metric", "banzhaf", "--verify", "10", "--out", str(out)])
-    captured = capsys.readouterr().out
+    captured = capsys.readouterr().err
     assert code == 0
     assert "max abs deviation" in captured
 
@@ -582,3 +703,39 @@ def test_reference_file_missing_key_exits_4(tmp_path, capsys, mode, missing):
     code = main(["selftest", "--pipelines", "1", "--reference", str(ref)])
     assert code == 4
     assert f"'{missing}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, pair, code, message", [
+    ("missing.json", None, 3, "missing.json"),
+    (7, None, 4, "'model'"),
+    (None, (4, 0, 1), 4, "pairs[0]"),
+    (None, (-1, 0, 1), 4, "pairs[0]"),
+    (None, (0, 1, 1), 4, "pairs[0]"),
+    (None, (0, 2, 1), 4, "pairs[0]"),
+    (None, (0, 0, 3), 4, "pairs[0]"),
+], ids=["missing-model-file", "model-not-object-or-path", "row-past-end",
+        "negative-row", "same-feature", "features-out-of-order", "feature-past-end"])
+def test_malformed_reference_entry_exits_with_its_code(tmp_path, capsys, model, pair,
+                                                       code, message):
+    # 4 consumer rows and 3 features: each bad entry exits with a code and
+    # names itself, instead of a traceback or a comparison of another pair.
+    doc = _reference_doc(MetricKind.SHAPLEY_IV)
+    if model is not None:
+        doc["model"] = model if isinstance(model, int) else str(tmp_path / model)
+    if pair is not None:
+        doc["pairs"][0][:3] = pair
+    ref = tmp_path / "reference.json"
+    ref.write_text(json.dumps(doc))
+    assert main(["selftest", "--pipelines", "1", "--reference", str(ref)]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_duplicate_feature_names_exit_3(toy, capsys):
+    doc = json.loads(json.dumps(MODEL_DOC))
+    doc["feature_names"] = ["age", "age"]
+    model = toy["dir"] / "twice.json"
+    model.write_text(json.dumps(doc))
+    assert main(["compute", "--model", str(model), "--consumers", toy["consumers"],
+                 "--out", str(toy["dir"] / "x.json")]) == 3
+    assert "'age'" in capsys.readouterr().err
+    assert not (toy["dir"] / "x.json").exists()

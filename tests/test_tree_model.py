@@ -197,6 +197,34 @@ def test_validate_require_covers():
         validate_ensemble(_ensemble(nodes), require_covers=True)
 
 
+@pytest.mark.parametrize("nodes, message", [
+    ([inner(0, 1.0, 1, 2, cover=2.0), leaf(float("inf"), cover=1.0), leaf(2.0, cover=1.0)],
+     "tree 0: leaf 1 has no finite weight"),
+    ([inner(0, 1.0, 1, 2, cover=2.0), leaf(1.0, cover=1.0), leaf(float("nan"), cover=1.0)],
+     "tree 0: leaf 2 has no finite weight"),
+    ([inner(0, 1.0, 1, 2, cover=float("nan")), leaf(1.0, cover=1.0), leaf(2.0, cover=1.0)],
+     "tree 0: node 0 has a non-finite cover"),
+    ([inner(0, 1.0, 1, 2, cover=float("inf")), leaf(1.0, cover=1.0), leaf(2.0, cover=1.0)],
+     "tree 0: node 0 has a non-finite cover"),
+    ([inner(0, 1.0, 1, 2, cover=2.0), leaf(1.0, cover=1.0), leaf(2.0, cover=float("nan"))],
+     "tree 0: node 2 has a non-finite cover"),
+], ids=["inf-weight", "nan-weight", "nan-root-cover", "inf-root-cover", "nan-leaf-cover"])
+def test_validate_rejects_non_finite_weights_and_covers(nodes, message):
+    # A nan cover passes every comparison, so monotonicity and positivity of
+    # covers did not catch it, even with require_covers.
+    with pytest.raises(ModelSchemaError, match=message):
+        validate_ensemble(_ensemble(nodes), require_covers=True)
+
+
+def test_load_model_rejects_non_finite_leaf_weight(tmp_path):
+    doc = json.loads(json.dumps(NATIVE_DOC))
+    doc["trees"][0]["nodes"][2]["leaf_weight"] = "inf"
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelSchemaError, match="leaf 2 has no finite weight"):
+        load_model(str(path))
+
+
 def test_bad_child_index():
     nodes = [inner(0, 1.0, 1, 7), leaf(1.0)]
     with pytest.raises(ModelSchemaError, match="child"):
@@ -254,6 +282,21 @@ def test_load_xgboost_dump_named_features(tmp_path):
     assert predict(ens, [2.0, 2.0]) == 1.0
     with pytest.raises(ModelSchemaError, match="feature reference"):
         load_model(str(path), format="xgb")
+
+
+def test_duplicate_feature_names_rejected(tmp_path):
+    # Both formats: the repeated name is named, where JSON output would keep
+    # one of the two values and the CSV loader would read one column twice.
+    doc = json.loads(json.dumps(NATIVE_DOC))
+    doc["feature_names"] = ["age", "age"]
+    native = tmp_path / "model.json"
+    native.write_text(json.dumps(doc))
+    with pytest.raises(ModelSchemaError, match="feature name 'age' is given twice"):
+        load_model(str(native))
+    dump = tmp_path / "dump.json"
+    dump.write_text(json.dumps(XGB_DUMP))
+    with pytest.raises(ModelSchemaError, match="feature name 'f0' is given twice"):
+        load_model(str(dump), format="xgb", feature_names=["f0", "f0"])
 
 
 def test_load_xgboost_dump_missing_key(tmp_path):
